@@ -21,9 +21,15 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_PROPERTY = 3
 
-TRACE_COLUMNS = ["t", "x1", "x2", "xhat1", "xhat2", "y", "gamma", "delta",
-                 "eps", "d", "err_norm", "rges_bound", "solver_iters",
-                 "solver_converged", "tx_count"]
+
+def trace_columns(n: int, p: int) -> List[str]:
+    """trace.csv header for a model with n states and p outputs; a single
+    output is named y, several y1..yp."""
+    ys = ["y"] if p == 1 else [f"y{i}" for i in range(1, p + 1)]
+    return (["t"] + [f"x{i}" for i in range(1, n + 1)]
+            + [f"xhat{i}" for i in range(1, n + 1)] + ys
+            + ["gamma", "delta", "eps", "d", "err_norm", "rges_bound",
+               "solver_iters", "solver_converged", "tx_count"])
 
 
 class ConfigFileError(Exception):
@@ -180,13 +186,12 @@ def _fmt(value) -> str:
 
 
 def write_trace_csv(trace: SimTrace, out_path: Path) -> None:
-    lines = [",".join(TRACE_COLUMNS)]
+    lines = [",".join(trace_columns(trace.x.shape[1], trace.y.shape[1]))]
     for t in range(trace.T + 1):
-        row = [t, trace.x[t, 0], trace.x[t, 1], trace.xhat[t, 0],
-               trace.xhat[t, 1], trace.y[t, 0], trace.gamma[t], trace.delta[t],
-               trace.eps[t], trace.d[t], trace.err_norm[t], trace.bound[t],
-               trace.solver_iters[t], trace.solver_converged[t],
-               trace.tx_count[t]]
+        row = [t, *trace.x[t], *trace.xhat[t], *trace.y[t], trace.gamma[t],
+               trace.delta[t], trace.eps[t], trace.d[t], trace.err_norm[t],
+               trace.bound[t], trace.solver_iters[t],
+               trace.solver_converged[t], trace.tx_count[t]]
         lines.append(",".join(_fmt(v) for v in row))
     out_path.write_text("\n".join(lines) + "\n")
 
@@ -234,7 +239,7 @@ def _cmd_verify_prop1(args) -> int:
         overrides.update(M=args.horizon, allow_short_horizon=True)
     if args.steps is not None:
         overrides["T"] = args.steps
-    cfg = dataclasses.replace(cfg, oracle_mode=True, **overrides)
+    cfg = dataclasses.replace(cfg, **overrides)
     report = verify_proposition1(cfg)
     print(f"max estimate discrepancy {report.max_discrepancy:.3e}, "
           f"max cost relative error {report.max_cost_rel_err:.3e}")

@@ -11,8 +11,8 @@ import numpy as np
 from .certificate import (CertificateError, IossCertificate, RgesConstants,
                           rges_bound, rges_constants)
 from .mhe import (MheConfig, MheSolution, MheWindow, SolverSettings,
-                  assemble_event_solution, eval_cost, make_window,
-                  open_loop_predict, rollout, solve_nlp)
+                  assemble_event_solution, make_window, open_loop_predict,
+                  solve_nlp)
 from .model import (Array, ConfigurationError, DisturbanceBounds, SystemModel,
                     output, sample_disturbance, step)
 from .trigger import EtmState, advance, compute_d, evaluate_trigger
@@ -35,7 +35,6 @@ class SimConfig:
     seed: int = 0
     solver: SolverSettings = field(default_factory=SolverSettings)
     allow_short_horizon: bool = False
-    oracle_mode: bool = False
 
     def __post_init__(self):
         if self.T < 1:

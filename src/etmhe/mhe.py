@@ -123,6 +123,7 @@ def rollout(model: SystemModel, x_init: Array, u_seq: Array,
     Returns (states of length len(w_seq)+1, outputs of length len(w_seq)).
     """
     x_init = np.asarray(x_init, dtype=float)
+    u_seq = np.asarray(u_seq, dtype=float)
     w_seq = np.asarray(w_seq, dtype=float)
     steps = w_seq.shape[-2] if w_seq.ndim >= 2 else 0
     if len(u_seq) != steps:
@@ -130,14 +131,12 @@ def rollout(model: SystemModel, x_init: Array, u_seq: Array,
     batch = x_init.shape[:-1]
     states = np.empty(batch + (steps + 1, model.n))
     outputs = np.empty(batch + (steps, model.p))
-    x = x_init
-    states[..., 0, :] = x
+    states[..., 0, :] = x_init
     for k in range(steps):
-        u = np.asarray(u_seq[k], dtype=float)
+        x = states[..., k, :]
         w = w_seq[..., k, :]
-        outputs[..., k, :] = model.h(x, u, w)
-        x = model.f(x, u, w)
-        states[..., k + 1, :] = x
+        outputs[..., k, :] = model.h(x, u_seq[k], w)
+        states[..., k + 1, :] = model.f(x, u_seq[k], w)
     return states, outputs
 
 
@@ -235,20 +234,25 @@ def solve_nlp(window: MheWindow, model: SystemModel, cfg: MheConfig,
     lo = np.concatenate([model.x_set.lower, np.tile(model.w_set.lower, Mt)])
     hi = np.concatenate([model.x_set.upper, np.tile(model.w_set.upper, Mt)])
 
-    def residuals(z: Array) -> Array:
-        # z may be (nz,) or (B, nz); returns matching batch of residuals.
-        z = np.asarray(z, dtype=float)
-        x0 = z[..., :n]
-        w = z[..., n:].reshape(z.shape[:-1] + (Mt, q))
-        _, y_seq = rollout(model, x0, window.inputs, w)
+    def evaluate(z: Array):
+        """Cost of z, then the residuals of z (row 0) and of its
+        forward-difference perturbations z + h_i e_i (rows 1..nz), all from
+        one batched rollout, the steps h, and copies of z's states and
+        outputs."""
+        h_fd = 1e-7 * (1.0 + np.abs(z))
+        Z = np.vstack([z, z + np.diag(h_fd)])
+        x0 = Z[:, :n]
+        w = Z[:, n:].reshape(nz + 1, Mt, q)
+        states, outputs = rollout(model, x0, window.inputs, w)
         r_prior = (x0 - window.prior) @ Up.T
         r_w = (w @ Uq.T) * sw[:, None]
-        parts = [r_prior, r_w.reshape(z.shape[:-1] + (Mt * q,))]
+        parts = [r_prior, r_w.reshape(nz + 1, Mt * q)]
         if n_meas:
-            dy = y_seq[..., :n_meas, :] - window.measurements
+            dy = outputs[:, :n_meas, :] - window.measurements
             r_y = (dy @ Ur.T) * sy[:, None]
-            parts.append(r_y.reshape(z.shape[:-1] + (n_meas * p,)))
-        return np.concatenate(parts, axis=-1)
+            parts.append(r_y.reshape(nz + 1, n_meas * p))
+        R = np.concatenate(parts, axis=-1)
+        return float(R[0] @ R[0]), R, h_fd, states[0].copy(), outputs[0].copy()
 
     if warm_start is not None:
         z = np.concatenate([np.asarray(warm_start[0], float).ravel(),
@@ -259,19 +263,18 @@ def solve_nlp(window: MheWindow, model: SystemModel, cfg: MheConfig,
         z = np.concatenate([window.prior, np.zeros(Mt * q)])
     z = np.clip(z, lo, hi)
 
-    r = residuals(z)
-    cost = float(r @ r)
+    cost, R, h_fd, x_seq, y_seq = evaluate(z)
     lam = s.initial_damping
     converged = False
     iterations = 0
 
     while iterations < s.max_iterations:
         iterations += 1
-        # Forward-difference Jacobian, all columns in one batched rollout.
-        h_fd = 1e-7 * (1.0 + np.abs(z))
-        Z = z + np.diag(h_fd)
-        J = (residuals(Z) - r) / h_fd[:, None]
-        J = J.T
+        # Forward-difference Jacobian, formed in place in the batch residuals.
+        r = R[0]
+        R[1:] -= r
+        R[1:] /= h_fd[:, None]
+        J = R[1:].T
         g = J.T @ r
         g_proj = z - np.clip(z - g, lo, hi)
         if np.max(np.abs(g_proj)) < s.gradient_tolerance:
@@ -286,7 +289,8 @@ def solve_nlp(window: MheWindow, model: SystemModel, cfg: MheConfig,
         JtJ[np.ix_(free, free)] = J[:, free].T @ J[:, free]
         g_masked = np.where(free, g, 0.0)
         scale = np.clip(np.diag(JtJ), 1e-12, None)
-        accepted = False
+        # Trials need only JtJ and g: free this batch before evaluating one.
+        del R, J, r
         while lam <= 1e14:
             try:
                 z_new = _boxed_step(JtJ + lam * np.diag(scale), g_masked, z, lo, hi)
@@ -294,19 +298,18 @@ def solve_nlp(window: MheWindow, model: SystemModel, cfg: MheConfig,
                 lam *= s.damping_increase
                 continue
             z_new[active] = z[active]
-            r_new = residuals(z_new)
-            cost_new = float(r_new @ r_new)
-            if cost_new <= cost:
-                accepted = True
+            trial = None  # release a rejected trial's batch before the next one
+            trial = evaluate(z_new)
+            if trial[0] <= cost:
                 break
             lam *= s.damping_increase
-        if not accepted:
+        else:
             # Damping exhausted without descent: stationary to working precision.
             converged = np.max(np.abs(g_proj)) < 1e-6
             break
         step_norm = np.linalg.norm(z_new - z)
-        cost_drop = cost - cost_new
-        z, r, cost = z_new, r_new, cost_new
+        cost_drop = cost - trial[0]
+        z, (cost, R, h_fd, x_seq, y_seq) = z_new, trial
         lam = max(lam * s.damping_decrease, 1e-14)
         if step_norm < s.step_tolerance * (1.0 + np.linalg.norm(z)):
             converged = True
@@ -316,11 +319,9 @@ def solve_nlp(window: MheWindow, model: SystemModel, cfg: MheConfig,
             converged = True
             break
 
-    x_init = z[:n]
-    w_seq = z[n:].reshape(Mt, q)
-    x_seq, y_seq = rollout(model, x_init, window.inputs, w_seq)
-    return MheSolution(x_init=x_init, w_seq=w_seq, x_seq=x_seq, y_seq=y_seq,
-                       cost=cost, iterations=iterations, converged=converged)
+    return MheSolution(x_init=z[:n], w_seq=z[n:].reshape(Mt, q), x_seq=x_seq,
+                       y_seq=y_seq, cost=cost, iterations=iterations,
+                       converged=converged)
 
 
 def assemble_event_solution(prev: MheSolution, delta: int, model: SystemModel,

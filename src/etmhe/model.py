@@ -52,8 +52,10 @@ class SystemModel:
     """Discrete-time system x+ = f(x, u, w), y = h(x, u, w).
 
     f and h must be deterministic and broadcast over leading batch
-    dimensions (inputs of shape (..., dim)); the MHE solver relies on
-    batched evaluation for finite-difference Jacobians.
+    dimensions (inputs of shape (..., dim)). Each batch row of a batched
+    call must equal the unbatched call on that row, bit for bit: the MHE
+    solver evaluates a trial point and its finite-difference perturbations
+    in one batched rollout and reads the trial point from row 0.
     """
 
     n: int
@@ -140,8 +142,11 @@ def batch_reactor(k1: float = 0.16, k2: float = 0.0064, tau: float = 0.1,
 
     def f(x, u, w):
         x1, x2 = x[..., 0], x[..., 1]
-        return np.stack([x1 + tau * (-2.0 * k1 * x1 ** 2 + 2.0 * k2 * x2) + w[..., 0],
-                         x2 + tau * (k1 * x1 ** 2 - k2 * x2) + w[..., 1]], axis=-1)
+        x1_next = x1 + tau * (-2.0 * k1 * x1 ** 2 + 2.0 * k2 * x2) + w[..., 0]
+        out = np.empty(np.shape(x1_next) + (2,))
+        out[..., 0] = x1_next
+        out[..., 1] = x2 + tau * (k1 * x1 ** 2 - k2 * x2) + w[..., 1]
+        return out
 
     def h(x, u, w):
         return (x[..., 0] + x[..., 1] + w[..., 2])[..., None]

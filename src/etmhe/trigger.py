@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -94,8 +95,13 @@ def advance(state: EtmState, gamma: bool, d_next: Optional[float] = None,
     if gamma:
         if d_next is None or x_new is None:
             raise TriggerError("event requires d_next and the new estimate")
-        if d_next < 0:
-            raise TriggerError("threshold statistic must be nonnegative")
+        # A non-finite d or estimate would make the trigger fire on every
+        # later step; note that NaN < 0 is False.
+        if not (math.isfinite(d_next) and d_next >= 0):
+            raise TriggerError("threshold statistic must be finite and nonnegative")
+        x_new = np.asarray(x_new, dtype=float)
+        if not np.isfinite(x_new).all():
+            raise TriggerError("new estimate must be finite")
         return EtmState(t=state.t + 1, eps=state.t, delta=0, d=float(d_next),
-                        alpha=state.alpha, anchor=np.asarray(x_new, dtype=float))
+                        alpha=state.alpha, anchor=x_new)
     return replace(state, t=state.t + 1, delta=state.t - state.eps)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from etmhe.cli import (ConfigFileError, TRACE_COLUMNS, main, parse_config,
+from etmhe.cli import (ConfigFileError, main, parse_config, trace_columns,
                        write_trace_csv)
-from etmhe.harness import run_closed_loop
+from etmhe.harness import SimConfig, run_closed_loop
+from etmhe.model import DisturbanceBounds
 
 from conftest import CONFIG_PATH
+from test_mhe import scalar_cert, scalar_linear_model
 
 GOOD = CONFIG_PATH.read_text()
 
@@ -71,11 +73,36 @@ class TestTraceCsv:
         out = tmp_path / "trace.csv"
         write_trace_csv(trace, out)
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == ",".join(TRACE_COLUMNS)
+        assert lines[0] == ",".join(trace_columns(2, 1))
+        assert lines[0] == ("t,x1,x2,xhat1,xhat2,y,gamma,delta,eps,d,err_norm,"
+                            "rges_bound,solver_iters,solver_converged,tx_count")
         assert len(lines) == trace.T + 2
         data = np.genfromtxt(out, delimiter=",", names=True)
         np.testing.assert_allclose(data["x1"], trace.x[:, 0], rtol=0)
         np.testing.assert_allclose(data["d"], trace.d[:trace.T + 1], rtol=0)
+        np.testing.assert_array_equal(data["gamma"], trace.gamma)
+
+    def test_columns_follow_model_dimensions(self):
+        cols = trace_columns(3, 2)
+        assert cols[:10] == ["t", "x1", "x2", "x3", "xhat1", "xhat2", "xhat3",
+                             "y1", "y2", "gamma"]
+
+    def test_scalar_model_trace(self, tmp_path):
+        cfg = SimConfig(model=scalar_linear_model(), cert=scalar_cert(), M=3,
+                        alpha=1.0, T=12, x0=np.array([1.0]),
+                        xhat0=np.array([0.0]),
+                        w_bounds=DisturbanceBounds(np.array([0.01, 0.05])))
+        trace = run_closed_loop(cfg)
+        out = tmp_path / "trace.csv"
+        write_trace_csv(trace, out)
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == ",".join(trace_columns(1, 1))
+        assert lines[0].startswith("t,x1,xhat1,y,gamma,")
+        assert len(lines) == trace.T + 2
+        data = np.genfromtxt(out, delimiter=",", names=True)
+        np.testing.assert_array_equal(data["x1"], trace.x[:, 0])
+        np.testing.assert_array_equal(data["xhat1"], trace.xhat[:, 0])
+        np.testing.assert_array_equal(data["y"], trace.y[:, 0])
         np.testing.assert_array_equal(data["gamma"], trace.gamma)
 
 

@@ -216,6 +216,36 @@ class TestSolver:
             solve_nlp(window, bench_model, cfg,
                       warm_start=(np.zeros(2), np.zeros((3, 3))))
 
+    def test_trajectory_is_rollout_of_solution(self, bench_model, bench_cert):
+        window, _, _ = bench_window(bench_model, bench_cert)
+        cfg = MheConfig(M=30, alpha=5.0, cert=bench_cert)
+        sol = solve_nlp(window, bench_model, cfg)
+        x_seq, y_seq = rollout(bench_model, sol.x_init, window.inputs, sol.w_seq)
+        assert np.array_equal(sol.x_seq, x_seq)
+        assert np.array_equal(sol.y_seq, y_seq)
+        # Copies, not views that would keep the solver's batch buffers alive.
+        assert sol.x_seq.base is None and sol.y_seq.base is None
+
+    def test_one_rollout_per_trial(self, bench_model, bench_cert, monkeypatch):
+        import etmhe.mhe as mhe
+        calls = {"rollout": 0, "step": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(mhe, "rollout", counting("rollout", mhe.rollout))
+        monkeypatch.setattr(mhe, "_boxed_step", counting("step", mhe._boxed_step))
+        window, _, _ = bench_window(bench_model, bench_cert)
+        sol = solve_nlp(window, bench_model, MheConfig(M=30, alpha=5.0,
+                                                       cert=bench_cert))
+        assert sol.iterations > 1
+        # The initial point plus one batched rollout per trial: no separate
+        # Jacobian or final-trajectory rollouts.
+        assert calls["rollout"] == calls["step"] + 1
+
     def test_iteration_budget_respected(self, bench_model, bench_cert):
         window, _, _ = bench_window(bench_model, bench_cert)
         cfg = MheConfig(M=30, alpha=5.0, cert=bench_cert,

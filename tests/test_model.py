@@ -63,6 +63,31 @@ class TestBatchReactor:
         np.testing.assert_allclose(bench_model.h(X, U, W)[:, 0],
                                    X[:, 0] + X[:, 1] + W[:, 2])
 
+    def test_matches_stacked_formula(self, bench_model):
+        k1, k2, tau = 0.16, 0.0064, 0.1
+        rng = np.random.default_rng(4)
+        for shape in ((), (9,), (4, 5)):
+            X = rng.uniform(0.0, 5.0, shape + (2,))
+            W = rng.uniform(-1e-3, 1e-3, shape + (3,))
+            x1, x2 = X[..., 0], X[..., 1]
+            stacked = np.stack(
+                [x1 + tau * (-2.0 * k1 * x1 ** 2 + 2.0 * k2 * x2) + W[..., 0],
+                 x2 + tau * (k1 * x1 ** 2 - k2 * x2) + W[..., 1]], axis=-1)
+            assert np.array_equal(bench_model.f(X, NO_U, W), stacked)
+
+    def test_broadcasts_unbatched_argument(self, bench_model):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0.0, 5.0, (6, 2))
+        W = rng.uniform(-1e-3, 1e-3, (6, 3))
+        out = bench_model.f(X[0], NO_U, W)
+        assert out.shape == (6, 2)
+        for i in range(6):
+            assert np.array_equal(out[i], bench_model.f(X[0], NO_U, W[i]))
+        out = bench_model.f(X, NO_U, W[0])
+        assert out.shape == (6, 2)
+        for i in range(6):
+            assert np.array_equal(out[i], bench_model.f(X[i], NO_U, W[0]))
+
     def test_state_set_default_nonnegative(self, bench_model):
         assert bench_model.x_set.contains(np.zeros(2))
         assert not bench_model.x_set.contains(np.array([-1e-9, 1.0]))

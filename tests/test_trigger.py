@@ -134,3 +134,15 @@ class TestAdvance:
             advance(state, True)
         with pytest.raises(TriggerError):
             advance(state, True, d_next=-1.0, x_new=np.zeros(2))
+
+    @pytest.mark.parametrize("d_next", [np.nan, np.inf])
+    def test_non_finite_threshold_rejected(self, d_next):
+        state = EtmState.initial(5.0, np.zeros(2))
+        with pytest.raises(TriggerError):
+            advance(state, True, d_next=d_next, x_new=np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_estimate_rejected(self, bad):
+        state = EtmState.initial(5.0, np.zeros(2))
+        with pytest.raises(TriggerError):
+            advance(state, True, d_next=0.5, x_new=np.array([1.0, bad]))
