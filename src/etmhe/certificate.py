@@ -21,38 +21,6 @@ class CertificateError(Exception):
     """Raised for invalid certificate data or unsatisfiable horizon conditions."""
 
 
-def symmetric_eigenvalues(a: Array) -> Array:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, ascending."""
-    A = np.array(a, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise CertificateError("matrix must be square")
-    if n == 1:
-        return A.diagonal().copy()
-    scale = np.linalg.norm(A)
-    if scale == 0.0:
-        return np.zeros(n)
-    for _ in range(100):
-        off = math.sqrt(np.sum(A ** 2) - np.sum(A.diagonal() ** 2))
-        if off <= _EIG_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= _EIG_TOL * scale * 1e-4:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-    return np.sort(A.diagonal())
-
-
 def _check_symmetric(a: Array, name: str) -> Array:
     A = np.asarray(a, dtype=float)
     if A.ndim == 0:
@@ -66,7 +34,7 @@ def _check_symmetric(a: Array, name: str) -> Array:
 
 
 def _require_definite(a: Array, name: str, strict: bool) -> None:
-    eigs = symmetric_eigenvalues(a)
+    eigs = np.linalg.eigvalsh(a)
     scale = max(abs(eigs[-1]), 1.0)
     if strict:
         if eigs[0] <= 0.0:
@@ -120,16 +88,30 @@ def max_generalized_eigenvalue(a: Array, b: Array) -> float:
     # Reduce to a standard symmetric problem via B = L L^T.
     L = np.linalg.cholesky(B)
     C = np.linalg.solve(L, np.linalg.solve(L, A).T).T
-    return float(symmetric_eigenvalues(0.5 * (C + C.T))[-1])
+    return float(np.linalg.eigvalsh(0.5 * (C + C.T))[-1])
 
 
 def min_horizon(cert: IossCertificate) -> int:
     """Smallest horizon M with 4*lambda_max(P2,P1)*eta^M < 1 (strict)."""
     lam = max_generalized_eigenvalue(cert.P2, cert.P1)
-    for M in range(_HORIZON_CAP + 1):
-        if 4.0 * lam * cert.eta ** M <= 1.0 - 1e-12:
-            return M
-    raise CertificateError("no admissible horizon below cap 10^6")
+    eta, target = cert.eta, 1.0 - 1e-12
+
+    def ok(M: int) -> bool:
+        return 4.0 * lam * eta ** M <= target
+
+    if ok(0):
+        return 0
+    if eta == 0.0:
+        return 1
+    M = math.ceil(math.log(target / (4.0 * lam)) / math.log(eta))
+    # Rounding in the logarithms can land one off the smallest admissible M.
+    if ok(M - 1):
+        M -= 1
+    elif not ok(M):
+        M += 1
+    if M > _HORIZON_CAP:
+        raise CertificateError("no admissible horizon below cap 10^6")
+    return M
 
 
 @dataclass(frozen=True)
@@ -155,9 +137,9 @@ def rges_constants(cert: IossCertificate, alpha: float, M: int) -> RgesConstants
         rho = (4.0 * lam * cert.eta ** M) ** (1.0 / M)
     else:
         rho = cert.eta
-    p1_eigs = symmetric_eigenvalues(cert.P1)
-    p2_eigs = symmetric_eigenvalues(cert.P2)
-    q_max = symmetric_eigenvalues(cert.Q)[-1]
+    p1_eigs = np.linalg.eigvalsh(cert.P1)
+    p2_eigs = np.linalg.eigvalsh(cert.P2)
+    q_max = np.linalg.eigvalsh(cert.Q)[-1]
     C_x = 2.0 * math.sqrt(p2_eigs[-1] / p1_eigs[0])
     C_w = math.sqrt((2.0 * alpha + 4.0) * q_max / p1_eigs[0])
     lam_xw = math.sqrt(rho)
@@ -165,16 +147,18 @@ def rges_constants(cert: IossCertificate, alpha: float, M: int) -> RgesConstants
 
 
 def rges_bound(constants: RgesConstants, e0_norm: float,
-               w_norms: Sequence[float], t: int) -> float:
-    """Value of the exponential error bound at time t."""
-    if t < 0:
-        raise CertificateError("t must be nonnegative")
-    if len(w_norms) < t:
-        raise CertificateError(f"need {t} disturbance norms, got {len(w_norms)}")
-    total = constants.C_x * e0_norm * constants.lam_x ** t
-    for j in range(t):
-        total += constants.C_w * w_norms[j] * constants.lam_w ** (t - j - 1)
-    return total
+               w_norms: Sequence[float]) -> Array:
+    """The exponential error bound b_0..b_N for N = len(w_norms), in one pass.
+
+    b_t = C_x*e0*lam_x^t + s_t, where s_0 = 0 and
+    s_t = lam_w*s_{t-1} + C_w*w_norms[t-1].
+    """
+    bound = constants.C_x * e0_norm * constants.lam_x ** np.arange(len(w_norms) + 1)
+    w_part = 0.0
+    for t, w in enumerate(w_norms, start=1):
+        w_part = constants.lam_w * w_part + constants.C_w * w
+        bound[t] += w_part
+    return bound
 
 
 @dataclass(frozen=True)

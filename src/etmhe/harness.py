@@ -39,11 +39,15 @@ class SimConfig:
     def __post_init__(self):
         if self.T < 1:
             raise ConfigurationError("simulation length must be at least 1")
+        if not math.isfinite(self.alpha):
+            raise ConfigurationError("alpha must be finite")
         x0 = np.asarray(self.x0, dtype=float)
         xhat0 = np.asarray(self.xhat0, dtype=float)
         for name, v in (("x0", x0), ("xhat0", xhat0)):
             if v.shape != (self.model.n,):
                 raise ConfigurationError(f"{name} has wrong dimension")
+            if not np.all(np.isfinite(v)):
+                raise ConfigurationError(f"{name} must be finite")
             if not self.model.x_set.contains(v):
                 raise ConfigurationError(f"{name} outside the admissible state set")
         object.__setattr__(self, "x0", x0)
@@ -178,11 +182,10 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
             etm = advance(etm, False)
 
     err = np.linalg.norm(x - xhat, axis=1)
-    w_norms = np.linalg.norm(w, axis=1)
-    bound = np.full(T + 1, np.nan)
-    if constants is not None:
-        for t in range(T + 1):
-            bound[t] = rges_bound(constants, err[0], w_norms, t)
+    if constants is None:
+        bound = np.full(T + 1, np.nan)
+    else:
+        bound = rges_bound(constants, err[0], np.linalg.norm(w[:T], axis=1))
 
     return SimTrace(x=x, xhat=xhat, y=y, w=w, gamma=gamma, delta=delta,
                     eps=eps, d=d, err_norm=err, bound=bound,
@@ -289,22 +292,13 @@ def check_rges(trace: SimTrace, constants: RgesConstants) -> BoundReport:
     Steps whose solve did not converge are excluded from the violation
     count (they are solver diagnostics, not bound failures).
     """
-    w_norms = trace.w_norms
-    violations = []
-    worst = -math.inf
-    checked = 0
-    for t in range(trace.T + 1):
-        bound = rges_bound(constants, trace.err_norm[0], w_norms, t)
-        if trace.gamma[t] and not trace.solver_converged[t]:
-            continue
-        checked += 1
-        margin = trace.err_norm[t] - bound
-        worst = max(worst, margin)
-        if margin > 0:
-            violations.append(t)
-    return BoundReport(n_steps=trace.T + 1, n_checked=checked,
+    bound = rges_bound(constants, trace.err_norm[0], trace.w_norms[:trace.T])
+    checked = (trace.gamma == 0) | trace.solver_converged
+    margin = trace.err_norm[checked] - bound[checked]
+    violations = np.flatnonzero(checked)[margin > 0].tolist()
+    return BoundReport(n_steps=trace.T + 1, n_checked=int(checked.sum()),
                        n_violations=len(violations), violation_times=violations,
-                       worst_margin=worst)
+                       worst_margin=float(margin.max(initial=-math.inf)))
 
 
 @dataclass(frozen=True)

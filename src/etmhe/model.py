@@ -113,6 +113,8 @@ class DisturbanceBounds:
         b = np.asarray(self.bounds, dtype=float)
         if b.ndim != 1:
             raise ConfigurationError("disturbance bounds must be a vector")
+        if not np.all(np.isfinite(b)):
+            raise ConfigurationError("disturbance bounds must be finite")
         if np.any(b < 0):
             raise ConfigurationError("disturbance bounds must be nonnegative")
         object.__setattr__(self, "bounds", b)

@@ -1,4 +1,4 @@
-"""Certificate validation, eigenvalue routines and stability constants."""
+"""Certificate validation, eigenvalues and stability constants."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from etmhe import (Box, CertificateError, ConfigurationError, IossCertificate,
                    check_dissipation, max_generalized_eigenvalue, min_horizon,
                    rges_bound, rges_constants)
-from etmhe.certificate import symmetric_eigenvalues
 
 from conftest import ETA_BENCH, P_BENCH, Q_BENCH, R_BENCH
 
@@ -20,37 +19,15 @@ def char_poly_eigs_2x2(a):
     return np.array([(tr - disc) / 2.0, (tr + disc) / 2.0])
 
 
-class TestSymmetricEigenvalues:
+class TestGeneralizedEigenvalue:
     def test_against_characteristic_polynomial(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            a = rng.normal(size=(2, 2))
-            a = a + a.T
-            np.testing.assert_allclose(symmetric_eigenvalues(a),
-                                       char_poly_eigs_2x2(a),
-                                       rtol=1e-10, atol=1e-10)
+            m = rng.normal(size=(2, 2))
+            a = m @ m.T + 0.1 * np.eye(2)
+            assert max_generalized_eigenvalue(a, np.eye(2)) == pytest.approx(
+                char_poly_eigs_2x2(a)[-1], rel=1e-10, abs=1e-10)
 
-    def test_against_numpy(self):
-        rng = np.random.default_rng(2)
-        for n in (1, 3, 5):
-            a = rng.normal(size=(n, n))
-            a = a + a.T
-            np.testing.assert_allclose(symmetric_eigenvalues(a),
-                                       np.linalg.eigvalsh(a),
-                                       rtol=1e-9, atol=1e-9)
-
-    def test_diagonal_and_zero(self):
-        np.testing.assert_allclose(symmetric_eigenvalues(np.diag([3.0, -1.0])),
-                                   [-1.0, 3.0])
-        np.testing.assert_allclose(symmetric_eigenvalues(np.zeros((4, 4))),
-                                   np.zeros(4))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(CertificateError):
-            symmetric_eigenvalues(np.zeros((2, 3)))
-
-
-class TestGeneralizedEigenvalue:
     def test_hand_example(self):
         # det(A - lam B) = 0 with A=[[2,1],[1,2]], B=diag(1,2):
         # 2 lam^2 - 6 lam + 3 = 0, max root (3 + sqrt(3)) / 2.
@@ -82,6 +59,11 @@ class TestIossCertificate:
         with pytest.raises(CertificateError):
             IossCertificate(P1=bad, P2=P_BENCH, Q=Q_BENCH, R=R_BENCH, eta=0.9)
 
+    def test_rejects_nonsquare(self):
+        with pytest.raises(CertificateError):
+            IossCertificate(P1=np.zeros((2, 3)), P2=P_BENCH, Q=Q_BENCH,
+                            R=R_BENCH, eta=0.9)
+
     def test_rejects_indefinite_p(self):
         with pytest.raises(CertificateError):
             IossCertificate(P1=np.diag([1.0, -1.0]), P2=np.diag([1.0, 1.0]),
@@ -105,14 +87,23 @@ class TestMinHorizon:
         assert min_horizon(bench_cert) == 15
 
     def test_hand_cases(self):
-        # lam_max(P2, P1) = 2, eta = 0.5: smallest M with 8 * 0.5^M < 1 is 4.
-        cert = IossCertificate(P1=np.eye(2), P2=2.0 * np.eye(2),
-                               Q=np.eye(1), R=np.eye(1), eta=0.5)
-        assert min_horizon(cert) == 4
+        # lam_max(P2, P1) = 2, eta = 0.5: smallest M with 8 * 0.5^M < 1 is 4
+        # (8 * 0.5^3 == 1 is not admissible).
+        def cert(lam, eta):
+            return IossCertificate(P1=np.eye(2), P2=lam * np.eye(2),
+                                   Q=np.eye(1), R=np.eye(1), eta=eta)
+
+        for eta, expected in ((0.0, 1), (0.5, 4), (0.91, 23), (0.999, 2079)):
+            assert min_horizon(cert(2.0, eta)) == expected
+        # lam just beside the boundary 4*lam*0.5^M = 1 - 1e-12, where the
+        # logarithms round one step too low (M = 5) and one too high (M = 29).
+        assert min_horizon(cert(3.9999999999960005, 0.5)) == 5
+        assert min_horizon(cert(134217727.99986579, 0.5)) == 29
         # lam_max = 0.2: 4 * 0.2 < 1 already, so M = 0.
-        cert = IossCertificate(P1=np.eye(2), P2=0.2 * np.eye(2),
-                               Q=np.eye(1), R=np.eye(1), eta=0.5)
-        assert min_horizon(cert) == 0
+        assert min_horizon(cert(0.2, 0.5)) == 0
+        # The admissible horizon lies far above the cap.
+        with pytest.raises(CertificateError):
+            min_horizon(cert(2.0, 1.0 - 1e-9))
 
 
 class TestRgesConstants:
@@ -146,27 +137,38 @@ class TestRgesConstants:
             rges_constants(bench_cert, alpha=-1.0, M=30)
 
 
+def explicit_bound(constants, e0, w_norms, t):
+    """The bound at time t as the explicit discounted sum."""
+    return (constants.C_x * e0 * constants.lam_x ** t
+            + sum(constants.C_w * w_norms[j] * constants.lam_w ** (t - j - 1)
+                  for j in range(t)))
+
+
 class TestRgesBound:
     def test_hand_value(self, bench_cert):
         constants = rges_constants(bench_cert, alpha=5.0, M=30)
         constants = type(constants)(C_x=2.0, C_w=1.0, lam_x=0.5, lam_w=0.5,
                                     rho=0.25)
-        # 2 * 1 * 0.5 + 1 * 1 * 0.5^0 = 2.
-        assert rges_bound(constants, 1.0, [1.0], 1) == pytest.approx(2.0)
+        # b_0 = 2 * 1; b_1 = 2 * 1 * 0.5 + 1 * 1 * 0.5^0 = 2;
+        # b_2 = 2 * 0.25 + 1 * 0.5 + 3 * 1 = 4.
+        np.testing.assert_allclose(rges_bound(constants, 1.0, [1.0, 3.0]),
+                                   [2.0, 2.0, 4.0], rtol=1e-15)
+        np.testing.assert_allclose(rges_bound(constants, 1.0, []), [2.0])
+
+    def test_matches_explicit_sum(self, bench_cert):
+        constants = rges_constants(bench_cert, alpha=5.0, M=30)
+        w = np.random.default_rng(3).uniform(0.0, 0.1, 2000)
+        bound = rges_bound(constants, 2.5, w)
+        assert bound.shape == (2001,)
+        expected = [explicit_bound(constants, 2.5, w, t) for t in range(2001)]
+        np.testing.assert_allclose(bound, expected, rtol=1e-12, atol=0.0)
 
     def test_monotone_in_error_and_decaying(self, bench_cert):
         constants = rges_constants(bench_cert, alpha=5.0, M=30)
-        w = np.zeros(50)
-        values = [rges_bound(constants, 3.0, w, t) for t in range(50)]
-        assert all(b > a for a, b in zip(values[1:], values[:-1]))
+        values = rges_bound(constants, 3.0, np.zeros(49))
+        assert np.all(np.diff(values) < 0)
         assert values[0] == pytest.approx(constants.C_x * 3.0)
-
-    def test_input_validation(self, bench_cert):
-        constants = rges_constants(bench_cert, alpha=5.0, M=30)
-        with pytest.raises(CertificateError):
-            rges_bound(constants, 1.0, [], 1)
-        with pytest.raises(CertificateError):
-            rges_bound(constants, 1.0, [], -1)
+        assert np.all(rges_bound(constants, 4.0, np.zeros(49)) > values)
 
 
 class TestDissipationCheck:

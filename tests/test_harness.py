@@ -81,6 +81,15 @@ class TestClosedLoop:
         events = tr.gamma[1:] == 1
         assert np.all(tr.solver_converged[1:][events])
 
+    def test_non_finite_inputs_rejected(self, bench_cfg):
+        for field in ("x0", "xhat0"):
+            for bad in ([np.inf, 1.0], [np.nan, 1.0]):
+                with pytest.raises(ConfigurationError, match=f"^{field} "):
+                    dataclasses.replace(bench_cfg, **{field: np.array(bad)})
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match="^alpha "):
+                dataclasses.replace(bench_cfg, alpha=bad)
+
 
 class TestOracleEquivalence:
     def test_small_case(self, bench_cfg):
@@ -117,6 +126,27 @@ class TestBoundAndMetrics:
         assert report.n_violations == 0
         assert report.worst_margin <= 0
         assert report.n_checked == short_trace.T + 1
+
+    def test_unconverged_event_steps_excluded(self, bench_cfg, short_trace):
+        constants = rges_constants(bench_cfg.cert, bench_cfg.alpha, bench_cfg.M)
+        t_event = int(np.flatnonzero(short_trace.gamma[1:])[0]) + 1
+        t_silent = int(np.flatnonzero(short_trace.gamma == 0)[0])
+
+        def inflated(t, converged):
+            tr = dataclasses.replace(short_trace,
+                                     err_norm=short_trace.err_norm.copy(),
+                                     solver_converged=short_trace.solver_converged.copy())
+            tr.err_norm[t] = 1e6
+            tr.solver_converged[t] = converged
+            return check_rges(tr, constants)
+
+        report = inflated(t_event, converged=False)
+        assert report.n_checked == short_trace.T
+        assert report.n_violations == 0
+        report = inflated(t_silent, converged=True)
+        assert report.n_checked == short_trace.T + 1
+        assert report.violation_times == [t_silent]
+        assert report.worst_margin > 0
 
     def test_metrics_require_shared_realization(self, bench_cfg, short_trace):
         other = run_closed_loop(dataclasses.replace(bench_cfg, T=40, seed=1))

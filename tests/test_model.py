@@ -118,8 +118,9 @@ class TestDisturbanceBounds:
         np.testing.assert_array_equal(a, b)
 
     def test_negative_bound_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DisturbanceBounds(np.array([-1.0]))
+        for bad in ([-1.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+            with pytest.raises(ConfigurationError):
+                DisturbanceBounds(np.array(bad))
 
     def test_as_box_contains_zero(self):
         box = DisturbanceBounds(np.array([0.5, 0.0])).as_box()
