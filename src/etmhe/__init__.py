@@ -12,6 +12,7 @@ from .mhe import (MheConfig, MheSolution, MheWindow, SolverSettings,
                   open_loop_predict, rollout, solve_nlp)
 from .model import (Box, ConfigurationError, DisturbanceBounds, SystemModel,
                     batch_reactor, output, sample_disturbance, step)
-from .trigger import EtmState, TriggerError, advance, compute_d, evaluate_trigger
+from .trigger import (EtmState, TriggerError, advance, compute_d, evaluate_trigger,
+                      extend)
 
 __version__ = "0.1.0"

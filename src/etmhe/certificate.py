@@ -127,8 +127,8 @@ class RgesConstants:
 
 def rges_constants(cert: IossCertificate, alpha: float, M: int) -> RgesConstants:
     """Error-bound constants for horizon M and trigger sensitivity alpha."""
-    if alpha < 0:
-        raise CertificateError("alpha must be nonnegative")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise CertificateError("alpha must be finite and nonnegative")
     M_min = min_horizon(cert)
     if M < M_min:
         raise CertificateError(f"horizon {M} below minimum {M_min}")

@@ -15,7 +15,7 @@ from .mhe import (MheConfig, MheSolution, MheWindow, SolverSettings,
                   solve_nlp)
 from .model import (Array, ConfigurationError, DisturbanceBounds, SystemModel,
                     output, sample_disturbance, step)
-from .trigger import EtmState, advance, compute_d, evaluate_trigger
+from .trigger import EtmState, advance, compute_d, evaluate_trigger, extend
 
 POST_TRANSIENT_START = 30
 
@@ -77,6 +77,8 @@ class SimTrace:
     solver_converged: Array
     cost: Array
     tx_count: Array
+    trigger_lhs: Array  # residual sum and threshold behind gamma[t]; NaN at 0
+    trigger_threshold: Array
 
     @property
     def T(self) -> int:
@@ -142,6 +144,8 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
     converged = np.ones(T + 1, dtype=bool)
     cost = np.full(T + 1, np.nan)
     tx = np.zeros(T + 1, dtype=int)
+    trig_lhs = np.full(T + 1, np.nan)
+    trig_threshold = np.full(T + 1, np.nan)
     gamma[0] = 1
 
     etm = EtmState.initial(cfg.alpha, cfg.xhat0)
@@ -150,8 +154,10 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
     last_window: Optional[MheWindow] = None
 
     for t in range(1, T + 1):
-        fire = evaluate_trigger(etm, model, y[etm.eps:t], u[etm.eps:t], cert)
+        etm = extend(etm, model, y[t - 1], u[t - 1], cert)
+        fire = evaluate_trigger(etm, cert)
         eps[t] = etm.eps
+        trig_lhs[t], trig_threshold[t] = etm.lhs, etm.threshold(cert.eta)
         if fire:
             # Transmit the new measurement block and solve the fixed-horizon NLP.
             block_start = max(t - cfg.M, etm.eps)
@@ -190,7 +196,8 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
     return SimTrace(x=x, xhat=xhat, y=y, w=w, gamma=gamma, delta=delta,
                     eps=eps, d=d, err_norm=err, bound=bound,
                     solver_iters=iters, solver_converged=converged,
-                    cost=cost, tx_count=tx)
+                    cost=cost, tx_count=tx, trigger_lhs=trig_lhs,
+                    trigger_threshold=trig_threshold)
 
 
 @dataclass(frozen=True)

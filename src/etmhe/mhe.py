@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
@@ -47,8 +48,8 @@ class MheConfig:
     def __post_init__(self):
         if self.M < 0:
             raise ConfigurationError("horizon must be nonnegative")
-        if self.alpha < 0:
-            raise ConfigurationError("alpha must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigurationError("alpha must be finite and nonnegative")
         M_min = min_horizon(self.cert)
         if self.M < M_min:
             if not self.allow_short_horizon:

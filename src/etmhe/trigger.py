@@ -21,12 +21,14 @@ class TriggerError(Exception):
 class EtmState:
     """Trigger bookkeeping between time steps.
 
-    t is the next time to evaluate; eps the last event time; delta the
-    steps since that event as of t-1; d the current threshold statistic;
-    anchor the estimate received from the estimator at eps. The output
-    prediction residuals since eps are recomputed from the anchor on each
-    evaluation rather than cached, mirroring the fact that only the
-    estimate and threshold cross the channel.
+    t is the next time to decide; eps the last event time; delta the steps
+    since that event as of t-1; d the threshold statistic received at eps.
+    Only the estimate and d cross the channel. The plant side propagates
+    the estimate itself: pred is the nominal open-loop prediction for the
+    newest measurement y_{t-1} (for time t once ``extend`` has run), and
+    lhs the discounted residual sum since eps, updated as
+    lhs <- eta * lhs + r'Rr, so each step costs one h and one f call
+    however long the silence.
     """
 
     t: int
@@ -34,41 +36,34 @@ class EtmState:
     delta: int
     d: float
     alpha: float
-    anchor: Array
+    pred: Array
+    lhs: float = 0.0
 
     @staticmethod
     def initial(alpha: float, x0_estimate: Array) -> "EtmState":
         """State after the conventional event at time 0 with d_1 = 0."""
         return EtmState(t=1, eps=0, delta=0, d=0.0, alpha=alpha,
-                        anchor=np.asarray(x0_estimate, dtype=float))
+                        pred=np.asarray(x0_estimate, dtype=float))
+
+    def threshold(self, eta: float) -> float:
+        """alpha * eta^(t-eps) * d; it underflows to 0 on long silences."""
+        return self.alpha * eta ** (self.t - self.eps) * self.d
 
 
-def evaluate_trigger(state: EtmState, model: SystemModel, y_window: Array,
-                     u_window: Array, cert: IossCertificate) -> bool:
-    """Decide gamma_t from the discounted output-prediction residuals.
-
-    y_window holds y_j for j in [eps, t-1]; predictions are the anchor
-    followed by nominal open-loop propagation. Returns False (no event)
-    only if the residual sum is strictly below alpha * eta^(t-eps) * d.
-    """
-    span = state.t - state.eps
-    if span <= 0:
-        raise TriggerError("trigger evaluated at or before the last event")
-    y_window = np.atleast_2d(np.asarray(y_window, dtype=float))
-    if len(y_window) != span or len(u_window) != span:
-        raise TriggerError(f"expected {span} measurements since the last event")
-    eta = cert.eta
+def extend(state: EtmState, model: SystemModel, y_last: Array, u_last: Array,
+           cert: IossCertificate) -> EtmState:
+    """Fold y_{t-1} into the residual sum and move pred on to time t."""
+    if np.shape(y_last) != (model.p,):
+        raise TriggerError("extend takes the single newest measurement")
     zero_w = np.zeros(model.q)
-    x = state.anchor
-    lhs = 0.0
-    for k in range(span):
-        u = np.asarray(u_window[k], dtype=float)
-        resid = y_window[k] - model.h(x, u, zero_w)
-        lhs += eta ** (span - 1 - k) * float(resid @ cert.R @ resid)
-        if k + 1 < span:
-            x = model.f(x, u, zero_w)
-    threshold = state.alpha * eta ** span * state.d
-    return not lhs < threshold
+    resid = y_last - model.h(state.pred, u_last, zero_w)
+    lhs = cert.eta * state.lhs + float(resid @ cert.R @ resid)
+    return replace(state, pred=model.f(state.pred, u_last, zero_w), lhs=lhs)
+
+
+def evaluate_trigger(state: EtmState, cert: IossCertificate) -> bool:
+    """gamma_t: False (no event) only if lhs is strictly below the threshold."""
+    return not state.lhs < state.threshold(cert.eta)
 
 
 def compute_d(solution: MheSolution, window: MheWindow,
@@ -103,5 +98,5 @@ def advance(state: EtmState, gamma: bool, d_next: Optional[float] = None,
         if not np.isfinite(x_new).all():
             raise TriggerError("new estimate must be finite")
         return EtmState(t=state.t + 1, eps=state.t, delta=0, d=float(d_next),
-                        alpha=state.alpha, anchor=x_new)
+                        alpha=state.alpha, pred=x_new)
     return replace(state, t=state.t + 1, delta=state.t - state.eps)

@@ -133,8 +133,9 @@ class TestRgesConstants:
     def test_rejects_short_horizon(self, bench_cert):
         with pytest.raises(CertificateError):
             rges_constants(bench_cert, alpha=5.0, M=14)
-        with pytest.raises(CertificateError):
-            rges_constants(bench_cert, alpha=-1.0, M=30)
+        for alpha in (-1.0, np.nan, np.inf):
+            with pytest.raises(CertificateError, match="alpha"):
+                rges_constants(bench_cert, alpha=alpha, M=30)
 
 
 def explicit_bound(constants, e0, w_norms, t):

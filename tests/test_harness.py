@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from etmhe import (ConfigurationError, DisturbanceBounds, run_alpha_sweep,
-                   run_closed_loop, verify_proposition1)
+from etmhe import (ConfigurationError, DisturbanceBounds, harness,
+                   run_alpha_sweep, run_closed_loop, trigger,
+                   verify_proposition1)
 from etmhe.harness import POST_TRANSIENT_START, check_rges, performance_metrics
 from etmhe.certificate import rges_constants
 
@@ -63,6 +64,33 @@ class TestClosedLoop:
                 assert tr.tx_count[t] == 0
                 prev_delta = tr.delta[t - 1] if not tr.gamma[t - 1] else 0
                 assert tr.delta[t] == prev_delta + 1
+
+    def test_trigger_prediction_is_silent_estimate(self, short_cfg,
+                                                   monkeypatch):
+        # The plant-side prediction and the estimator's open-loop fallback
+        # are computed separately and must agree bit for bit.
+        preds = {}
+
+        def recording(state, gamma, *args):
+            new = trigger.advance(state, gamma, *args)
+            if not gamma:
+                preds[state.t] = new.pred
+            return new
+
+        monkeypatch.setattr(harness, "advance", recording)
+        tr = run_closed_loop(short_cfg)
+        silent = np.flatnonzero(tr.gamma == 0).tolist()
+        assert silent and sorted(preds) == silent
+        for t in silent:
+            np.testing.assert_array_equal(preds[t], tr.xhat[t])
+
+    def test_trigger_decision_recorded(self, short_cfg, short_trace):
+        tr, eta = short_trace, short_cfg.cert.eta
+        assert np.isnan(tr.trigger_lhs[0]) and np.isnan(tr.trigger_threshold[0])
+        for t in range(1, tr.T + 1):
+            assert tr.gamma[t] == (not tr.trigger_lhs[t] < tr.trigger_threshold[t])
+            assert tr.trigger_threshold[t] == (short_cfg.alpha * eta ** (t - tr.eps[t])
+                                               * tr.d[t])
 
     def test_transmitted_block_length(self, short_cfg, short_trace):
         cfg, tr = short_cfg, short_trace

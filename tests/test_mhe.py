@@ -86,6 +86,11 @@ class TestMheConfig:
                             allow_short_horizon=True)
         assert cfg.M == 10
 
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
+    def test_alpha_validated(self, bench_cert, alpha):
+        with pytest.raises(ConfigurationError, match="alpha"):
+            MheConfig(M=30, alpha=alpha, cert=bench_cert)
+
     def test_solver_settings_validated(self):
         with pytest.raises(ConfigurationError):
             SolverSettings(max_iterations=0)
