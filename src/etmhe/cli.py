@@ -15,7 +15,8 @@ from .certificate import (CertificateError, IossCertificate, check_dissipation,
 from .harness import (SimConfig, SimTrace, check_rges, run_alpha_sweep,
                       run_closed_loop, verify_proposition1)
 from .mhe import SolverSettings
-from .model import Box, ConfigurationError, DisturbanceBounds, batch_reactor
+from .model import (BATCH_REACTOR_BOUNDS, Box, ConfigurationError,
+                    DisturbanceBounds, batch_reactor)
 
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
@@ -107,74 +108,58 @@ def _matrix(text: str, path, lineno) -> np.ndarray:
     return np.array(rows)
 
 
+def _int(text: str, path, lineno) -> int:
+    return int(_scalar(text, path, lineno))
+
+
+def _flag(text: str, path, lineno) -> bool:
+    return bool(_int(text, path, lineno))
+
+
+def _bounds(text: str, path, lineno) -> DisturbanceBounds:
+    return DisturbanceBounds(_vector(text, path, lineno))
+
+
 def parse_config(path) -> SimConfig:
-    """Parse and validate a simulation config file."""
+    """Parse and validate a simulation config file. Optional keys that the
+    file leaves out keep the defaults of the library."""
     path = Path(path)
     sections = _read_entries(path)
+    model_sec, cert_sec = sections["model"], sections["certificate"]
+    mhe_sec, sim_sec = sections["mhe"], sections["sim"]
 
-    def get(section, key, default=None):
-        return sections[section].get(key, (default, 0))
-
-    model_sec = sections["model"]
     name, lineno = model_sec["name"]
     if name != "batch_reactor":
         raise ConfigFileError(f"{path}:{lineno}: unknown model '{name}'")
 
-    def scalar_opt(section, key, default):
-        text, lineno = get(section, key)
-        return default if text is None else _scalar(text, path, lineno)
-
-    k1 = scalar_opt("model", "k1", 0.16)
-    k2 = scalar_opt("model", "k2", 0.0064)
-    tau = scalar_opt("model", "tau", 0.1)
-    text, lineno = get("model", "w_bounds", "1e-3, 1e-3, 0.1")
-    w_bounds = DisturbanceBounds(_vector(text, path, lineno))
-    text, lineno = get("model", "x_lower", "0, 0")
-    x_lower = _vector(text, path, lineno)
-    text, lineno = get("model", "x_upper", "inf, inf")
-    x_upper = _vector(text, path, lineno)
+    def given(section, convert, *keys):
+        """Those of keys that section sets, each parsed by convert."""
+        return {key: convert(section[key][0], path, section[key][1])
+                for key in keys if key in section}
 
     try:
-        model = batch_reactor(k1=k1, k2=k2, tau=tau, w_bounds=w_bounds)
-        model = dataclasses.replace(model, x_set=Box(x_lower, x_upper))
-        cert_sec = sections["certificate"]
-        cert = IossCertificate(
-            P1=_matrix(*_with_pos(cert_sec, "P1", path)),
-            P2=_matrix(*_with_pos(cert_sec, "P2", path)),
-            Q=_matrix(*_with_pos(cert_sec, "Q", path)),
-            R=_matrix(*_with_pos(cert_sec, "R", path)),
-            eta=_scalar(*_with_pos(cert_sec, "eta", path)))
-    except (ConfigurationError, CertificateError) as exc:
-        raise ConfigFileError(f"{path}: {exc}") from exc
-
-    solver = SolverSettings(
-        max_iterations=int(scalar_opt("mhe", "max_iterations", 100)),
-        gradient_tolerance=scalar_opt("mhe", "gradient_tolerance", 1e-10),
-        step_tolerance=scalar_opt("mhe", "step_tolerance", 1e-12),
-        initial_damping=scalar_opt("mhe", "initial_damping", 1e-3),
-        damping_increase=scalar_opt("mhe", "damping_increase", 10.0),
-        damping_decrease=scalar_opt("mhe", "damping_decrease", 0.1))
-    allow_short = bool(int(scalar_opt("mhe", "allow_short_horizon", 0)))
-
-    sim_sec = sections["sim"]
-    try:
+        model_kw = {**given(model_sec, _scalar, "k1", "k2", "tau"),
+                    **given(model_sec, _bounds, "w_bounds")}
+        model = batch_reactor(**model_kw)
+        x_box = given(model_sec, _vector, "x_lower", "x_upper")
+        model = dataclasses.replace(model, x_set=Box(
+            x_box.get("x_lower", model.x_set.lower),
+            x_box.get("x_upper", model.x_set.upper)))
+        cert = IossCertificate(**given(cert_sec, _matrix, "P1", "P2", "Q", "R"),
+                               **given(cert_sec, _scalar, "eta"))
+        solver = SolverSettings(
+            **given(mhe_sec, _int, "max_iterations"),
+            **given(mhe_sec, _scalar, "gradient_tolerance", "step_tolerance",
+                    "initial_damping", "damping_increase", "damping_decrease"))
         return SimConfig(
-            model=model, cert=cert,
-            M=int(_scalar(*_with_pos(sections["mhe"], "M", path))),
-            alpha=_scalar(*_with_pos(sections["mhe"], "alpha", path)),
-            T=int(_scalar(*_with_pos(sim_sec, "T", path))),
-            x0=_vector(*_with_pos(sim_sec, "x0", path)),
-            xhat0=_vector(*_with_pos(sim_sec, "xhat0", path)),
-            w_bounds=w_bounds,
-            seed=int(scalar_opt("sim", "seed", 0)),
-            solver=solver, allow_short_horizon=allow_short)
+            model=model, cert=cert, solver=solver,
+            w_bounds=model_kw.get("w_bounds", BATCH_REACTOR_BOUNDS),
+            **given(mhe_sec, _int, "M"), **given(mhe_sec, _scalar, "alpha"),
+            **given(mhe_sec, _flag, "allow_short_horizon"),
+            **given(sim_sec, _int, "T", "seed"),
+            **given(sim_sec, _vector, "x0", "xhat0"))
     except (ConfigurationError, CertificateError) as exc:
         raise ConfigFileError(f"{path}: {exc}") from exc
-
-
-def _with_pos(section, key, path):
-    text, lineno = section[key]
-    return text, path, lineno
 
 
 def _fmt(value) -> str:

@@ -86,9 +86,11 @@ class MheWindow:
         inputs = np.asarray(self.inputs, dtype=float)
         if len(inputs) != self.horizon:
             raise ConfigurationError(f"expected {self.horizon} inputs")
-        object.__setattr__(self, "prior", np.asarray(self.prior, dtype=float))
-        object.__setattr__(self, "measurements", meas)
-        object.__setattr__(self, "inputs", inputs)
+        prior = np.asarray(self.prior, dtype=float)
+        for name, v in (("prior", prior), ("measurements", meas), ("inputs", inputs)):
+            if not np.isfinite(v).all():
+                raise ConfigurationError(f"window {name} must be finite")
+            object.__setattr__(self, name, v)
 
 
 def make_window(t: int, delta: int, M: int, prior: Array,
@@ -147,15 +149,36 @@ def open_loop_predict(model: SystemModel, x_prev: Array, u_prev: Array) -> Array
                    np.zeros(model.q))
 
 
-def _cost_weights(window: MheWindow, cfg: MheConfig):
-    """Per-term scalar discount weights of the cost for this window."""
-    eta = cfg.cert.eta
-    Mt = window.horizon
+def cost_residuals(window: MheWindow, cert: IossCertificate, alpha: float):
+    """The window cost as a residual map r(x_init, w_seq, y_seq).
+
+    r stacks [prior | disturbances | measured outputs], batched over leading
+    dimensions; its squared norm is the discounted cost
+    2 eta^Mt |x_init - prior|_P2^2 + sum_j eta^(Mt-1-j) (2 (alpha+1) |w_j|_Q^2
+    + (alpha+1) |y_j - measured y_j|_R^2), with output terms only for the
+    Mt - delta measured steps. y_seq are the outputs rolled out from
+    (x_init, w_seq); the map never rolls out itself.
+    """
+    eta, Mt = cert.eta, window.horizon
+    n_meas = Mt - window.delta
     disc = eta ** (Mt - 1 - np.arange(Mt))  # eta^(t-j-1) for j = t-Mt..t-1
-    prior_w = 2.0 * eta ** Mt
-    w_w = 2.0 * (cfg.alpha + 1.0) * disc
-    y_w = (cfg.alpha + 1.0) * disc[: Mt - window.delta]
-    return prior_w, w_w, y_w
+    Up = np.sqrt(2.0 * eta ** Mt) * _sqrt_factor(cert.P2)
+    Uq = _sqrt_factor(cert.Q)
+    Ur = _sqrt_factor(cert.R)
+    sw = np.sqrt(2.0 * (alpha + 1.0) * disc)
+    sy = np.sqrt((alpha + 1.0) * disc[:n_meas])
+    # An unmeasured window stores its measurements as (0, 0); give them p columns.
+    meas = np.reshape(window.measurements, (n_meas, len(Ur)))
+
+    def residuals(x_init: Array, w_seq: Array, y_seq: Array) -> Array:
+        batch = np.shape(x_init)[:-1]
+        r_w = (w_seq @ Uq.T) * sw[:, None]
+        r_y = ((y_seq[..., :n_meas, :] - meas) @ Ur.T) * sy[:, None]
+        return np.concatenate([(x_init - window.prior) @ Up.T,
+                               r_w.reshape(batch + (-1,)),
+                               r_y.reshape(batch + (-1,))], axis=-1)
+
+    return residuals
 
 
 def eval_cost(window: MheWindow, x_init: Array, w_seq: Array,
@@ -164,16 +187,8 @@ def eval_cost(window: MheWindow, x_init: Array, w_seq: Array,
     x_init = np.asarray(x_init, dtype=float)
     w_seq = np.asarray(w_seq, dtype=float).reshape(window.horizon, model.q)
     _, y_seq = rollout(model, x_init, window.inputs, w_seq)
-    prior_w, w_w, y_w = _cost_weights(window, cfg)
-    P2, Q, R = cfg.cert.P2, cfg.cert.Q, cfg.cert.R
-    dp = x_init - window.prior
-    cost = prior_w * float(dp @ P2 @ dp)
-    for k in range(window.horizon):
-        cost += w_w[k] * float(w_seq[k] @ Q @ w_seq[k])
-    for k in range(window.horizon - window.delta):
-        dy = y_seq[k] - window.measurements[k]
-        cost += y_w[k] * float(dy @ R @ dy)
-    return cost
+    r = cost_residuals(window, cfg.cert, cfg.alpha)(x_init, w_seq, y_seq)
+    return float(r @ r)
 
 
 def _sqrt_factor(mat: Array) -> Array:
@@ -221,16 +236,9 @@ def solve_nlp(window: MheWindow, model: SystemModel, cfg: MheConfig,
     non-convergent solve returns the best iterate with converged=False.
     """
     s = cfg.solver
-    Mt, n, q, p = window.horizon, model.n, model.q, model.p
+    Mt, n, q = window.horizon, model.n, model.q
     nz = n + Mt * q
-
-    prior_w, w_w, y_w = _cost_weights(window, cfg)
-    Up = np.sqrt(prior_w) * _sqrt_factor(cfg.cert.P2)
-    Uq = _sqrt_factor(cfg.cert.Q)
-    Ur = _sqrt_factor(cfg.cert.R)
-    sw = np.sqrt(w_w)
-    sy = np.sqrt(y_w)
-    n_meas = Mt - window.delta
+    residuals = cost_residuals(window, cfg.cert, cfg.alpha)
 
     lo = np.concatenate([model.x_set.lower, np.tile(model.w_set.lower, Mt)])
     hi = np.concatenate([model.x_set.upper, np.tile(model.w_set.upper, Mt)])
@@ -245,14 +253,7 @@ def solve_nlp(window: MheWindow, model: SystemModel, cfg: MheConfig,
         x0 = Z[:, :n]
         w = Z[:, n:].reshape(nz + 1, Mt, q)
         states, outputs = rollout(model, x0, window.inputs, w)
-        r_prior = (x0 - window.prior) @ Up.T
-        r_w = (w @ Uq.T) * sw[:, None]
-        parts = [r_prior, r_w.reshape(nz + 1, Mt * q)]
-        if n_meas:
-            dy = outputs[:, :n_meas, :] - window.measurements
-            r_y = (dy @ Ur.T) * sy[:, None]
-            parts.append(r_y.reshape(nz + 1, n_meas * p))
-        R = np.concatenate(parts, axis=-1)
+        R = residuals(x0, w, outputs)
         return float(R[0] @ R[0]), R, h_fd, states[0].copy(), outputs[0].copy()
 
     if warm_start is not None:

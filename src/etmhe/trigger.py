@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .certificate import IossCertificate
-from .mhe import MheSolution, MheWindow
+from .mhe import MheSolution, MheWindow, cost_residuals
 from .model import Array, SystemModel
 
 
@@ -21,8 +21,8 @@ class TriggerError(Exception):
 class EtmState:
     """Trigger bookkeeping between time steps.
 
-    t is the next time to decide; eps the last event time; delta the steps
-    since that event as of t-1; d the threshold statistic received at eps.
+    t is the next time to decide; eps the last event time; d the threshold
+    statistic received at eps.
     Only the estimate and d cross the channel. The plant side propagates
     the estimate itself: pred is the nominal open-loop prediction for the
     newest measurement y_{t-1} (for time t once ``extend`` has run), and
@@ -33,7 +33,6 @@ class EtmState:
 
     t: int
     eps: int
-    delta: int
     d: float
     alpha: float
     pred: Array
@@ -42,7 +41,7 @@ class EtmState:
     @staticmethod
     def initial(alpha: float, x0_estimate: Array) -> "EtmState":
         """State after the conventional event at time 0 with d_1 = 0."""
-        return EtmState(t=1, eps=0, delta=0, d=0.0, alpha=alpha,
+        return EtmState(t=1, eps=0, d=0.0, alpha=alpha,
                         pred=np.asarray(x0_estimate, dtype=float))
 
     def threshold(self, eta: float) -> float:
@@ -74,14 +73,11 @@ def compute_d(solution: MheSolution, window: MheWindow,
     Mt = window.horizon
     if len(solution.w_seq) != Mt or len(window.measurements) != Mt:
         raise TriggerError("solution does not match the window")
-    eta = cert.eta
-    d = 0.0
-    for k in range(Mt):
-        w = solution.w_seq[k]
-        dy = solution.y_seq[k] - window.measurements[k]
-        d += eta ** (Mt - 1 - k) * (2.0 * float(w @ cert.Q @ w)
-                                    + float(dy @ cert.R @ dy))
-    return d
+    # The discounted stage cost of the window: the cost at alpha = 0 without
+    # its prior term.
+    r = cost_residuals(window, cert, 0.0)(solution.x_init, solution.w_seq,
+                                          solution.y_seq)[len(solution.x_init):]
+    return float(r @ r)
 
 
 def advance(state: EtmState, gamma: bool, d_next: Optional[float] = None,
@@ -97,6 +93,6 @@ def advance(state: EtmState, gamma: bool, d_next: Optional[float] = None,
         x_new = np.asarray(x_new, dtype=float)
         if not np.isfinite(x_new).all():
             raise TriggerError("new estimate must be finite")
-        return EtmState(t=state.t + 1, eps=state.t, delta=0, d=float(d_next),
+        return EtmState(t=state.t + 1, eps=state.t, d=float(d_next),
                         alpha=state.alpha, pred=x_new)
-    return replace(state, t=state.t + 1, delta=state.t - state.eps)
+    return replace(state, t=state.t + 1)

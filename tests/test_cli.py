@@ -1,17 +1,34 @@
 """Config parsing, CSV output and command-line entry points."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from etmhe.cli import (ConfigFileError, main, parse_config, trace_columns,
                        write_trace_csv)
 from etmhe.harness import SimConfig, run_closed_loop
-from etmhe.model import DisturbanceBounds
+from etmhe.mhe import SolverSettings
+from etmhe.model import BATCH_REACTOR_BOUNDS, Box, DisturbanceBounds, batch_reactor
 
 from conftest import CONFIG_PATH
 from test_mhe import scalar_cert, scalar_linear_model
 
 GOOD = CONFIG_PATH.read_text()
+
+
+def assert_model_equal(model, expected):
+    """Same dimensions and sets, and the same f and h on random points."""
+    rng = np.random.default_rng(0)
+    x, w = rng.uniform(0.0, 5.0, (20, 2)), rng.uniform(-0.1, 0.1, (20, 3))
+    u = np.zeros((20, 0))
+    for name in ("f", "h"):
+        assert np.array_equal(getattr(model, name)(x, u, w),
+                              getattr(expected, name)(x, u, w))
+    for name in ("x_set", "w_set", "y_set"):
+        for side in ("lower", "upper"):
+            np.testing.assert_array_equal(getattr(getattr(model, name), side),
+                                          getattr(getattr(expected, name), side))
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -30,6 +47,33 @@ class TestParseConfig:
         np.testing.assert_allclose(bench_cfg.xhat0, [0.1, 4.5])
         np.testing.assert_allclose(bench_cfg.w_bounds.bounds,
                                    [1e-3, 1e-3, 0.1])
+
+    def test_optional_keys_take_library_defaults(self, tmp_path, bench_cfg):
+        optional = {"k1", "k2", "tau", "x_lower", "x_upper", "w_bounds", "seed"}
+        text = "\n".join(line for line in GOOD.splitlines()
+                         if line.split("=")[0].strip() not in optional)
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert_model_equal(cfg.model, batch_reactor())
+        np.testing.assert_array_equal(cfg.w_bounds.bounds,
+                                      BATCH_REACTOR_BOUNDS.bounds)
+        assert cfg.solver == SolverSettings()
+        assert cfg.seed == 0 and cfg.allow_short_horizon is False
+        # The benchmark file spells out the same defaults.
+        assert_model_equal(bench_cfg.model, cfg.model)
+        assert bench_cfg.solver == cfg.solver
+
+    def test_optional_keys_override_defaults(self, tmp_path):
+        text = (GOOD.replace("tau = 0.1", "tau = 0.2")
+                .replace("x_upper = inf, inf", "x_upper = 10, inf")
+                .replace("alpha = 5", "alpha = 5\nmax_iterations = 7\n"
+                         "damping_decrease = 0.5\nallow_short_horizon = 1"))
+        cfg = parse_config(write_cfg(tmp_path, text))
+        expected = dataclasses.replace(
+            batch_reactor(tau=0.2), x_set=Box(np.zeros(2), np.array([10.0, np.inf])))
+        assert_model_equal(cfg.model, expected)
+        assert cfg.solver == SolverSettings(max_iterations=7, damping_decrease=0.5)
+        assert type(cfg.solver.max_iterations) is int
+        assert cfg.allow_short_horizon is True
 
     def test_unknown_key_reports_line(self, tmp_path):
         path = write_cfg(tmp_path, GOOD.replace("seed = 0", "sed = 0"))
@@ -68,7 +112,6 @@ class TestParseConfig:
 
 class TestTraceCsv:
     def test_round_trip(self, tmp_path, bench_cfg):
-        import dataclasses
         trace = run_closed_loop(dataclasses.replace(bench_cfg, T=20))
         out = tmp_path / "trace.csv"
         write_trace_csv(trace, out)

@@ -5,7 +5,7 @@ import pytest
 
 from etmhe import (Box, ConfigurationError, IossCertificate, MheConfig,
                    MheWindow, SolverSettings, SystemModel,
-                   assemble_event_solution, eval_cost, make_window,
+                   assemble_event_solution, cost_residuals, eval_cost, make_window,
                    open_loop_predict, rollout, solve_nlp, output,
                    sample_disturbance, step)
 from etmhe.model import DisturbanceBounds
@@ -73,6 +73,16 @@ class TestWindow:
         with pytest.raises(ConfigurationError):
             MheWindow(t=3, delta=0, horizon=3, prior=prior,
                       measurements=np.zeros((3, 1)), inputs=np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("field", ["prior", "measurements", "inputs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, field, bad):
+        data = {"prior": np.zeros(2), "measurements": np.zeros((3, 1)),
+                "inputs": np.zeros((3, 1))}
+        data[field] = data[field].copy()
+        data[field].flat[-1] = bad
+        with pytest.raises(ConfigurationError, match=field):
+            MheWindow(t=3, delta=0, horizon=3, **data)
 
 
 class TestMheConfig:
@@ -161,6 +171,57 @@ class TestEvalCost:
                     + 0.5 * 7.0 * 1.0 + 1.0 * 7.0 * 0.81)
         assert eval_cost(window, x0, w, model, cfg) == pytest.approx(
             expected, rel=1e-12)
+
+
+    def test_matches_explicit_sum(self, bench_model, bench_cert):
+        # t > M with a silence (delta > 0), and a window with no measurement
+        # at all (horizon == delta), for random candidates and several alphas.
+        rng = np.random.default_rng(21)
+        windows = [make_window(t=50, delta=4, M=15, prior=np.array([0.1, 4.5]),
+                               measurements=rng.uniform(3.0, 5.0, (15, 1)),
+                               inputs=np.zeros((19, 0))),
+                   MheWindow(t=5, delta=5, horizon=5, prior=np.array([2.0, 2.0]),
+                             measurements=[], inputs=np.zeros((5, 0)))]
+        for window in windows:
+            for alpha in (0.0, 5.0, 20.0):
+                cfg = MheConfig(M=15, alpha=alpha, cert=bench_cert)
+                for _ in range(5):
+                    x0 = rng.uniform(0.0, 5.0, 2)
+                    w = rng.uniform(-0.1, 0.1, (window.horizon, 3))
+                    assert eval_cost(window, x0, w, bench_model, cfg) == \
+                        pytest.approx(explicit_cost(window, x0, w, bench_model, cfg),
+                                      rel=1e-12)
+
+    def test_batched_rows_match_single_calls(self, bench_model, bench_cert):
+        rng = np.random.default_rng(22)
+        window = make_window(t=50, delta=4, M=15, prior=np.array([0.1, 4.5]),
+                             measurements=rng.uniform(3.0, 5.0, (15, 1)),
+                             inputs=np.zeros((19, 0)))
+        residuals = cost_residuals(window, bench_cert, 5.0)
+        X0 = rng.uniform(0.0, 5.0, (4, 2))
+        W = rng.uniform(-0.1, 0.1, (4, 19, 3))
+        _, Y = rollout(bench_model, X0, window.inputs, W)
+        R = residuals(X0, W, Y)
+        assert R.shape == (4, 2 + 19 * 3 + 15)
+        for i in range(4):
+            np.testing.assert_allclose(R[i], residuals(X0[i], W[i], Y[i]),
+                                       rtol=1e-15, atol=0.0)
+
+
+def explicit_cost(window, x_init, w_seq, model, cfg):
+    """Oracle: the window cost summed term by term."""
+    eta, Mt, alpha = cfg.cert.eta, window.horizon, cfg.alpha
+    P2, Q, R = cfg.cert.P2, cfg.cert.Q, cfg.cert.R
+    _, y_seq = rollout(model, x_init, window.inputs, w_seq)
+    dp = x_init - window.prior
+    cost = 2.0 * eta ** Mt * float(dp @ P2 @ dp)
+    for k in range(Mt):
+        disc = eta ** (Mt - 1 - k)
+        cost += 2.0 * (alpha + 1.0) * disc * float(w_seq[k] @ Q @ w_seq[k])
+        if k < Mt - window.delta:
+            dy = y_seq[k] - window.measurements[k]
+            cost += (alpha + 1.0) * disc * float(dy @ R @ dy)
+    return cost
 
 
 class TestSolver:

@@ -28,7 +28,7 @@ def simulate(bench_model, t, seed=5):
 class TestInitialState:
     def test_defaults(self):
         state = EtmState.initial(5.0, np.array([0.1, 4.5]))
-        assert (state.t, state.eps, state.delta, state.d) == (1, 0, 0, 0.0)
+        assert (state.t, state.eps, state.d) == (1, 0, 0.0)
         assert state.lhs == 0.0
         np.testing.assert_array_equal(state.pred, [0.1, 4.5])
 
@@ -73,7 +73,7 @@ class TestEvaluateTrigger:
         assert evaluate_trigger(state, bench_cert)
 
     def test_alpha_zero_always_fires(self, bench_model, bench_cert):
-        state = EtmState(t=4, eps=1, delta=2, d=100.0, alpha=0.0,
+        state = EtmState(t=4, eps=1, d=100.0, alpha=0.0,
                          pred=np.array([2.0, 1.5]))
         ys, _ = simulate(bench_model, 4)
         state = extend(state, bench_model, ys[3], np.zeros(0), bench_cert)
@@ -84,7 +84,7 @@ class TestEvaluateTrigger:
         # Residuals are exactly zero when the anchor reproduces the plant
         # and there is no measurement noise; any positive threshold wins.
         x = np.array([3.0, 1.0])
-        state = EtmState(t=2, eps=1, delta=0, d=1.0, alpha=5.0, pred=x)
+        state = EtmState(t=2, eps=1, d=1.0, alpha=5.0, pred=x)
         for _ in range(3):
             y = output(bench_model, x, np.zeros(0), np.zeros(3))
             x = step(bench_model, x, np.zeros(0), np.zeros(3))
@@ -97,7 +97,7 @@ class TestEvaluateTrigger:
                                                     bench_cert):
         # One discounted term per step since the last event, oldest first.
         anchor = np.array([2.5, 1.2])
-        state = EtmState(t=2, eps=1, delta=0, d=1e12, alpha=1.0, pred=anchor)
+        state = EtmState(t=2, eps=1, d=1e12, alpha=1.0, pred=anchor)
         ys, _ = simulate(bench_model, 3)
         x = anchor
         lhs = 0.0
@@ -129,7 +129,7 @@ class TestEvaluateTrigger:
         # Long enough for eta**span to underflow at eta = 0.91, where the
         # threshold is 0 and the step must fire.
         ys = np.random.default_rng(seed).uniform(0.0, 5.0, (span, 1))
-        state = EtmState(t=1, eps=0, delta=0, d=1e3, alpha=5.0, pred=anchor)
+        state = EtmState(t=1, eps=0, d=1e3, alpha=5.0, pred=anchor)
         state = run_silence(state, bench_model, bench_cert, ys)
         lhs, pred = explicit_lhs(bench_model, bench_cert, anchor, ys)
         assert state.t - state.eps == span
@@ -157,6 +157,24 @@ class TestComputeD:
         assert d == pytest.approx(expected, rel=1e-9)
         assert d >= 0.0
 
+    @pytest.mark.parametrize("t", [10, 40])
+    def test_matches_explicit_sum(self, bench_model, bench_cert, t):
+        # M_t = 10 < M and M_t = M = 30.
+        ys, _ = simulate(bench_model, t)
+        window = make_window(t=t, delta=0, M=30, prior=np.array([0.1, 4.5]),
+                             measurements=ys[-min(t, 30):],
+                             inputs=np.zeros((min(t, 30), 0)))
+        sol = solve_nlp(window, bench_model,
+                        MheConfig(M=30, alpha=5.0, cert=bench_cert))
+        eta, Mt = bench_cert.eta, window.horizon
+        d = 0.0
+        for k in range(Mt):
+            w = sol.w_seq[k]
+            dy = sol.y_seq[k] - window.measurements[k]
+            d += eta ** (Mt - 1 - k) * (2.0 * float(w @ bench_cert.Q @ w)
+                                        + float(dy @ bench_cert.R @ dy))
+        assert compute_d(sol, window, bench_cert) == pytest.approx(d, rel=1e-12)
+
     def test_event_time_only(self, bench_model, bench_cert):
         ys, _ = simulate(bench_model, 6)
         window = make_window(t=6, delta=2, M=4, prior=np.array([0.1, 4.5]),
@@ -171,18 +189,19 @@ class TestComputeD:
 
 class TestAdvance:
     def test_event_resets_bookkeeping(self):
-        state = EtmState(t=7, eps=3, delta=3, d=2.0, alpha=5.0,
+        state = EtmState(t=7, eps=3, d=2.0, alpha=5.0,
                          pred=np.zeros(2), lhs=3.0)
         new = advance(state, True, d_next=0.5, x_new=np.array([1.0, 2.0]))
-        assert (new.t, new.eps, new.delta, new.d) == (8, 7, 0, 0.5)
+        assert (new.t, new.eps, new.d) == (8, 7, 0.5)
         assert new.lhs == 0.0
         np.testing.assert_array_equal(new.pred, [1.0, 2.0])
 
     def test_silence_increments_delta_and_keeps_d(self):
-        state = EtmState(t=7, eps=3, delta=3, d=2.0, alpha=5.0,
+        state = EtmState(t=7, eps=3, d=2.0, alpha=5.0,
                          pred=np.zeros(2), lhs=3.0)
         new = advance(state, False)
-        assert (new.t, new.eps, new.delta, new.d, new.lhs) == (8, 3, 4, 2.0, 3.0)
+        # The silence t - eps grows by one step; d and the residual sum stay.
+        assert (new.t, new.eps, new.d, new.lhs) == (8, 3, 2.0, 3.0)
         np.testing.assert_array_equal(new.pred, state.pred)
 
     def test_event_requires_payload(self):
