@@ -109,11 +109,19 @@ def _matrix(text: str, path, lineno) -> np.ndarray:
 
 
 def _int(text: str, path, lineno) -> int:
-    return int(_scalar(text, path, lineno))
+    try:
+        return int(text)
+    except ValueError:
+        value = _scalar(text, path, lineno)
+    if not value.is_integer():
+        raise ConfigFileError(f"{path}:{lineno}: expected an integer, got '{text}'")
+    return int(value)
 
 
 def _flag(text: str, path, lineno) -> bool:
-    return bool(_int(text, path, lineno))
+    if text not in ("0", "1"):
+        raise ConfigFileError(f"{path}:{lineno}: expected 0 or 1, got '{text}'")
+    return text == "1"
 
 
 def _bounds(text: str, path, lineno) -> DisturbanceBounds:

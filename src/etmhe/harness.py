@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .certificate import (CertificateError, IossCertificate, RgesConstants,
                           rges_bound, rges_constants)
+# assemble_event_solution is not called here: perfbench/tracing.py wraps this name.
 from .mhe import (MheConfig, MheSolution, MheWindow, SolverSettings,
                   assemble_event_solution, make_window, open_loop_predict,
-                  solve_nlp)
+                  rollout, solve_nlp)
 from .model import (Array, ConfigurationError, DisturbanceBounds, SystemModel,
-                    output, sample_disturbance, step)
+                    sample_disturbance)
 from .trigger import EtmState, advance, compute_d, evaluate_trigger, extend
 
 POST_TRANSIENT_START = 30
@@ -41,6 +42,8 @@ class SimConfig:
             raise ConfigurationError("simulation length must be at least 1")
         if not math.isfinite(self.alpha):
             raise ConfigurationError("alpha must be finite")
+        if self.w_bounds.bounds.shape != (self.model.q,):
+            raise ConfigurationError("w_bounds has wrong dimension")
         x0 = np.asarray(self.x0, dtype=float)
         xhat0 = np.asarray(self.xhat0, dtype=float)
         for name, v in (("x0", x0), ("xhat0", xhat0)):
@@ -97,16 +100,15 @@ class SimTrace:
         return np.linalg.norm(self.w, axis=1)
 
 
-def _warm_start(prev_sol: MheSolution, prev_window: MheWindow,
-                window: MheWindow, model: SystemModel, u_all: Array):
-    """Shift the last event's solution to the new window (zero-padded)."""
-    delta = window.t - prev_window.t
-    extended = assemble_event_solution(
-        prev_sol, delta, model, u_all[prev_window.t:window.t])
-    offset = (window.t - window.horizon) - (prev_window.t - prev_window.horizon)
-    if offset < 0:
-        return None
-    return extended.x_seq[offset], extended.w_seq[offset:]
+def _warm_start(prev_sol: MheSolution, prev_t: int, window: MheWindow):
+    """The solution of the event at prev_t shifted to the new window start:
+    its state there (past its end, the open-loop estimate held in the
+    prior) and its disturbances from there on, zero-padded."""
+    offset = (window.t - window.horizon) - (prev_t - len(prev_sol.w_seq))
+    x_start = prev_sol.x_seq[offset] if offset < len(prev_sol.x_seq) else window.prior
+    kept = prev_sol.w_seq[offset:]
+    pad = np.zeros((window.horizon - len(kept), kept.shape[1]))
+    return x_start, np.vstack([kept, pad])
 
 
 def run_closed_loop(cfg: SimConfig) -> SimTrace:
@@ -119,15 +121,10 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
     mhe_cfg = cfg.mhe_config()
     rng = np.random.default_rng(cfg.seed)
 
-    w = np.array([sample_disturbance(rng, cfg.w_bounds) for _ in range(T + 1)])
+    w = sample_disturbance(rng, cfg.w_bounds, T + 1)
     u = np.zeros((T + 1, model.m))
-    x = np.empty((T + 1, model.n))
-    y = np.empty((T + 1, model.p))
-    x[0] = cfg.x0
-    for t in range(T):
-        y[t] = output(model, x[t], u[t], w[t])
-        x[t + 1] = step(model, x[t], u[t], w[t])
-    y[T] = output(model, x[T], u[T], w[T])
+    x, y = rollout(model, cfg.x0, u[:T], w[:T])
+    y = np.vstack([y, model.h(x[T], u[T], w[T])])
 
     try:
         constants = rges_constants(cert, cfg.alpha, cfg.M)
@@ -149,9 +146,7 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
     gamma[0] = 1
 
     etm = EtmState.initial(cfg.alpha, cfg.xhat0)
-    received: Dict[int, Array] = {}
     last_sol: Optional[MheSolution] = None
-    last_window: Optional[MheWindow] = None
 
     for t in range(1, T + 1):
         etm = extend(etm, model, y[t - 1], u[t - 1], cert)
@@ -159,18 +154,12 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
         eps[t] = etm.eps
         trig_lhs[t], trig_threshold[t] = etm.lhs, etm.threshold(cert.eta)
         if fire:
-            # Transmit the new measurement block and solve the fixed-horizon NLP.
-            block_start = max(t - cfg.M, etm.eps)
-            for j in range(block_start, t):
-                received[j] = y[j]
-            tx[t] = t - block_start
+            # Send the outputs since the last event, at most M; older ones went before.
+            tx[t] = t - max(t - cfg.M, etm.eps)
             Mt = min(t, cfg.M)
-            meas = np.array([received[j] for j in range(t - Mt, t)])
             window = make_window(t=t, delta=0, M=cfg.M, prior=xhat[t - Mt],
-                                 measurements=meas, inputs=u[t - Mt:t])
-            warm = None
-            if last_sol is not None:
-                warm = _warm_start(last_sol, last_window, window, model, u)
+                                 measurements=y[t - Mt:t], inputs=u[t - Mt:t])
+            warm = None if last_sol is None else _warm_start(last_sol, etm.eps, window)
             sol = solve_nlp(window, model, mhe_cfg, warm_start=warm)
             xhat[t] = sol.estimate
             d_next = compute_d(sol, window, cert)
@@ -179,7 +168,7 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
             iters[t] = sol.iterations
             converged[t] = sol.converged
             cost[t] = sol.cost
-            last_sol, last_window = sol, window
+            last_sol = sol
             etm = advance(etm, True, d_next, xhat[t])
         else:
             xhat[t] = open_loop_predict(model, xhat[t - 1], u[t - 1])

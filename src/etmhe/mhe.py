@@ -28,11 +28,10 @@ class SolverSettings:
     damping_decrease: float = 0.1
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or min(self.gradient_tolerance, self.step_tolerance,
-                                           self.cost_tolerance, self.initial_damping,
-                                           self.damping_increase,
-                                           self.damping_decrease) <= 0:
-            raise ConfigurationError("solver settings must be positive")
+        if not (self.max_iterations > 0 and all(0 < v < math.inf for v in (
+                self.gradient_tolerance, self.step_tolerance, self.cost_tolerance,
+                self.initial_damping, self.damping_increase, self.damping_decrease))):
+            raise ConfigurationError("solver settings must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -123,10 +123,11 @@ class DisturbanceBounds:
         return Box(-self.bounds, self.bounds)
 
 
-def sample_disturbance(rng: np.random.Generator, bounds: DisturbanceBounds) -> Array:
-    """One disturbance vector, each coordinate uniform on [-b_i, b_i]."""
+def sample_disturbance(rng: np.random.Generator, bounds: DisturbanceBounds,
+                       size: Optional[int] = None) -> Array:
+    """One disturbance vector, or size of them, uniform on [-b_i, b_i] per coordinate."""
     b = bounds.bounds
-    return rng.uniform(-b, b)
+    return rng.uniform(-b, b, None if size is None else (size, len(b)))
 
 
 BATCH_REACTOR_BOUNDS = DisturbanceBounds(np.array([1e-3, 1e-3, 0.1]))

@@ -100,6 +100,37 @@ class TestParseConfig:
         with pytest.raises(ConfigFileError, match="many"):
             parse_config(path)
 
+    @pytest.mark.parametrize("old,new", [
+        ("T = 100", "T = 100.9"), ("T = 100", "T = inf"), ("T = 100", "T = nan"),
+        ("seed = 0", "seed = 0.5"),
+        ("alpha = 5", "alpha = 5\nallow_short_horizon = 0.5"),
+        ("alpha = 5", "alpha = 5\nallow_short_horizon = 2")])
+    def test_inexact_values_rejected(self, tmp_path, capsys, old, new):
+        path = write_cfg(tmp_path, GOOD.replace(old, new))
+        with pytest.raises(ConfigFileError, match=r"case\.cfg:\d+: expected"):
+            parse_config(path)
+        code = main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "case.cfg" in capsys.readouterr().err
+
+    def test_non_finite_solver_setting_rejected(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, GOOD.replace(
+            "alpha = 5", "alpha = 5\ngradient_tolerance = nan"))
+        with pytest.raises(ConfigFileError, match=r"case\.cfg: solver settings"):
+            parse_config(path)
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+
+    def test_integral_numbers_accepted(self, tmp_path):
+        text = GOOD.replace("T = 100", "T = 1e3").replace("seed = 0", "seed = 7.0")
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert cfg.T == 1000 and type(cfg.T) is int
+        assert cfg.seed == 7 and type(cfg.seed) is int
+        big = parse_config(write_cfg(tmp_path, GOOD.replace(
+            "seed = 0", "seed = 12345678901234567891")))
+        assert big.seed == 12345678901234567891
+
     def test_invalid_certificate_rejected(self, tmp_path):
         path = write_cfg(tmp_path, GOOD.replace("eta = 0.91", "eta = 1.5"))
         with pytest.raises(ConfigFileError):

@@ -6,11 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from etmhe import (ConfigurationError, DisturbanceBounds, harness,
-                   run_alpha_sweep, run_closed_loop, trigger,
+from etmhe import (Box, ConfigurationError, DisturbanceBounds, IossCertificate,
+                   SimConfig, SystemModel, assemble_event_solution, harness,
+                   output, run_alpha_sweep, run_closed_loop, step, trigger,
                    verify_proposition1)
 from etmhe.harness import POST_TRANSIENT_START, check_rges, performance_metrics
 from etmhe.certificate import rges_constants
+from etmhe.cli import trace_columns, write_trace_csv
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +102,45 @@ class TestClosedLoop:
                 assert tr.tx_count[t] == min(t - eps, cfg.M)
                 eps = t
 
+    @pytest.mark.parametrize("alpha", [5.0, 20.0])
+    def test_event_windows_crossed_the_channel(self, bench_cfg, alpha):
+        # Each event at t sends the block [t - tx_count[t], t); the window it
+        # solves on, [t - M_t, t), must lie in what has been sent so far.
+        cfg = dataclasses.replace(bench_cfg, alpha=alpha, T=150)
+        tr = run_closed_loop(cfg)
+        sent = np.zeros(tr.T + 1, dtype=bool)
+        events = np.flatnonzero(tr.gamma[1:]) + 1
+        assert len(events) >= 3
+        for t in events:
+            sent[t - tr.tx_count[t]:t] = True
+            assert sent[t - min(t, cfg.M):t].all()
+
+    def test_warm_start_is_shifted_solution(self, bench_cfg, monkeypatch):
+        # _warm_start must equal the last solution extended by open-loop
+        # prediction, read at the new window's start, for a window that
+        # starts inside, at the end of and past the last one.
+        cfg = dataclasses.replace(bench_cfg, M=5, T=40, alpha=20.0,
+                                  allow_short_horizon=True)
+        branches = []
+        warm_start = harness._warm_start
+
+        def checked(prev_sol, prev_t, window):
+            x_start, w_seq = warm_start(prev_sol, prev_t, window)
+            delta = window.t - prev_t
+            ext = assemble_event_solution(prev_sol, delta, cfg.model,
+                                          np.zeros((delta, cfg.model.m)))
+            offset = (window.t - window.horizon) - (prev_t - len(prev_sol.w_seq))
+            np.testing.assert_array_equal(x_start, ext.x_seq[offset])
+            np.testing.assert_array_equal(w_seq, ext.w_seq[offset:])
+            branches.append(np.sign(offset - (len(prev_sol.x_seq) - 1)))
+            return x_start, w_seq
+
+        monkeypatch.setattr(harness, "_warm_start", checked)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            run_closed_loop(cfg)
+        assert set(branches) == {-1, 0, 1}
+
     def test_error_stays_bounded(self, short_trace):
         assert np.all(np.isfinite(short_trace.err_norm))
         assert short_trace.err_norm[-1] < short_trace.err_norm[0]
@@ -117,6 +158,67 @@ class TestClosedLoop:
         for bad in (np.nan, np.inf):
             with pytest.raises(ConfigurationError, match="^alpha "):
                 dataclasses.replace(bench_cfg, alpha=bad)
+
+    def test_w_bounds_dimension_checked(self, bench_cfg):
+        for bounds in ([1e-3, 1e-3], [1e-3, 1e-3, 0.1, 0.1]):
+            with pytest.raises(ConfigurationError, match="^w_bounds "):
+                dataclasses.replace(bench_cfg,
+                                    w_bounds=DisturbanceBounds(np.array(bounds)))
+
+
+def linear_model_3x2():
+    """x+ = A x + B u + (w1, w2, w3), y = (x1 + w4, x2 + x3 + w5): n=3, m=1, q=5, p=2.
+
+    Written coordinate by coordinate so that batched rows equal unbatched
+    calls bit for bit. |A|_2 < 0.5, so V = |x - x'|^2 dissipates with
+    eta = 0.5 and Q = 2 on the process noise.
+    """
+    A = np.array([[0.4, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.2]])
+    B = np.array([1.0, 0.0, 0.5])
+
+    def f(x, u, w):
+        return np.stack([A[i, 0] * x[..., 0] + A[i, 1] * x[..., 1]
+                         + A[i, 2] * x[..., 2] + B[i] * u[..., 0] + w[..., i]
+                         for i in range(3)], axis=-1)
+
+    def h(x, u, w):
+        return np.stack([x[..., 0] + w[..., 3], x[..., 1] + x[..., 2] + w[..., 4]],
+                        axis=-1)
+
+    return SystemModel(n=3, m=1, q=5, p=2, f=f, h=h, x_set=Box.unbounded(3),
+                       w_set=Box.unbounded(5), y_set=Box.unbounded(2))
+
+
+class TestOtherShape:
+    def test_closed_loop_n3_p2_m1(self, tmp_path):
+        cert = IossCertificate(P1=np.eye(3), P2=np.eye(3),
+                               Q=np.diag([2.0, 2.0, 2.0, 1.0, 1.0]), R=np.eye(2),
+                               eta=0.5)
+        cfg = SimConfig(model=linear_model_3x2(), cert=cert, M=4, alpha=5.0,
+                        T=30, x0=np.array([1.0, -1.0, 2.0]), xhat0=np.zeros(3),
+                        w_bounds=DisturbanceBounds(np.array([0.01, 0.01, 0.01,
+                                                             0.05, 0.05])))
+        tr = run_closed_loop(cfg)
+        T = cfg.T
+        assert tr.x.shape == tr.xhat.shape == (T + 1, 3)
+        assert tr.y.shape == (T + 1, 2) and tr.w.shape == (T + 1, 5)
+        assert tr.gamma.shape == tr.err_norm.shape == (T + 1,)
+        assert tr.d.shape == (T + 2,)
+        assert 1 <= tr.n_events < T
+        # The plant rows are those of repeated step / output calls.
+        u = np.zeros(1)
+        for t in range(T + 1):
+            np.testing.assert_array_equal(tr.y[t], output(cfg.model, tr.x[t], u, tr.w[t]))
+            if t < T:
+                np.testing.assert_array_equal(
+                    tr.x[t + 1], step(cfg.model, tr.x[t], u, tr.w[t]))
+        report = check_rges(tr, rges_constants(cert, cfg.alpha, cfg.M))
+        assert report.n_steps == T + 1 and report.n_violations == 0
+        out = tmp_path / "trace.csv"
+        write_trace_csv(tr, out)
+        lines = out.read_text().splitlines()
+        assert lines[0] == ",".join(trace_columns(3, 2))
+        assert len(lines) == T + 2
 
 
 class TestOracleEquivalence:

@@ -107,6 +107,14 @@ class TestMheConfig:
         with pytest.raises(ConfigurationError):
             SolverSettings(gradient_tolerance=-1.0)
 
+    @pytest.mark.parametrize("field", ["gradient_tolerance", "step_tolerance",
+                                       "cost_tolerance", "initial_damping",
+                                       "damping_increase", "damping_decrease"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_solver_settings_finite(self, field, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            SolverSettings(**{field: bad})
+
 
 class TestRollout:
     def test_matches_repeated_step(self, bench_model):

@@ -117,6 +117,14 @@ class TestDisturbanceBounds:
         b = sample_disturbance(np.random.default_rng(42), bounds)
         np.testing.assert_array_equal(a, b)
 
+    def test_count_draws_like_single_calls(self):
+        bounds = DisturbanceBounds(np.array([1e-3, 0.0, 0.1]))
+        many = sample_disturbance(np.random.default_rng(7), bounds, 6)
+        rng = np.random.default_rng(7)
+        single = np.array([sample_disturbance(rng, bounds) for _ in range(6)])
+        assert many.shape == (6, 3)
+        np.testing.assert_array_equal(many, single)
+
     def test_negative_bound_rejected(self):
         for bad in ([-1.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
             with pytest.raises(ConfigurationError):
