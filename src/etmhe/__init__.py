@@ -7,9 +7,9 @@ from .certificate import (CertificateError, DissipationReport, IossCertificate,
 from .harness import (BoundReport, EquivalenceReport, MetricsReport, SimConfig,
                       SimTrace, SweepReport, check_rges, performance_metrics,
                       run_alpha_sweep, run_closed_loop, verify_proposition1)
-from .mhe import (MheConfig, MheSolution, MheWindow, SolverSettings,
-                  assemble_event_solution, cost_residuals, eval_cost,
-                  make_window, open_loop_predict, rollout, solve_nlp)
+from .mhe import (MheConfig, MheSolution, MheWindow, assemble_event_solution,
+                  cost_residuals, eval_cost, make_window, open_loop_predict,
+                  rollout, solve_nlp)
 from .model import (Box, ConfigurationError, DisturbanceBounds, SystemModel,
                     batch_reactor, output, sample_disturbance, step)
 from .trigger import (EtmState, TriggerError, advance, compute_d, evaluate_trigger,

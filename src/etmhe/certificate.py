@@ -129,14 +129,13 @@ def rges_constants(cert: IossCertificate, alpha: float, M: int) -> RgesConstants
     """Error-bound constants for horizon M and trigger sensitivity alpha."""
     if not (math.isfinite(alpha) and alpha >= 0):
         raise CertificateError("alpha must be finite and nonnegative")
+    if M < 1:
+        raise CertificateError("horizon must be at least 1")
     M_min = min_horizon(cert)
     if M < M_min:
         raise CertificateError(f"horizon {M} below minimum {M_min}")
     lam = max_generalized_eigenvalue(cert.P2, cert.P1)
-    if M >= 1:
-        rho = (4.0 * lam * cert.eta ** M) ** (1.0 / M)
-    else:
-        rho = cert.eta
+    rho = (4.0 * lam * cert.eta ** M) ** (1.0 / M)
     p1_eigs = np.linalg.eigvalsh(cert.P1)
     p2_eigs = np.linalg.eigvalsh(cert.P2)
     q_max = np.linalg.eigvalsh(cert.Q)[-1]

@@ -14,7 +14,6 @@ from .certificate import (CertificateError, IossCertificate, check_dissipation,
                           min_horizon, rges_constants)
 from .harness import (SimConfig, SimTrace, check_rges, run_alpha_sweep,
                       run_closed_loop, verify_proposition1)
-from .mhe import SolverSettings
 from .model import (BATCH_REACTOR_BOUNDS, Box, ConfigurationError,
                     DisturbanceBounds, batch_reactor)
 
@@ -40,9 +39,7 @@ class ConfigFileError(Exception):
 _SCHEMA = {
     "model": {"name", "k1", "k2", "tau", "x_lower", "x_upper", "w_bounds"},
     "certificate": {"P1", "P2", "Q", "R", "eta"},
-    "mhe": {"M", "alpha", "max_iterations", "gradient_tolerance",
-            "step_tolerance", "initial_damping", "damping_increase",
-            "damping_decrease", "allow_short_horizon"},
+    "mhe": {"M", "alpha", "allow_short_horizon"},
     "sim": {"T", "x0", "xhat0", "seed"},
 }
 _REQUIRED = {
@@ -155,12 +152,8 @@ def parse_config(path) -> SimConfig:
             x_box.get("x_upper", model.x_set.upper)))
         cert = IossCertificate(**given(cert_sec, _matrix, "P1", "P2", "Q", "R"),
                                **given(cert_sec, _scalar, "eta"))
-        solver = SolverSettings(
-            **given(mhe_sec, _int, "max_iterations"),
-            **given(mhe_sec, _scalar, "gradient_tolerance", "step_tolerance",
-                    "initial_damping", "damping_increase", "damping_decrease"))
         return SimConfig(
-            model=model, cert=cert, solver=solver,
+            model=model, cert=cert,
             w_bounds=model_kw.get("w_bounds", BATCH_REACTOR_BOUNDS),
             **given(mhe_sec, _int, "M"), **given(mhe_sec, _scalar, "alpha"),
             **given(mhe_sec, _flag, "allow_short_horizon"),
@@ -203,9 +196,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    alphas = [float(a) for a in args.alphas.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
-    report = run_alpha_sweep(cfg, alphas, seeds)
+    report = run_alpha_sweep(cfg, args.alphas, args.seeds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["alpha,seed,t,gamma"]
@@ -243,9 +234,8 @@ def _cmd_verify_prop1(args) -> int:
 
 def _cmd_check_ioss(args) -> int:
     cfg = _load(args)
-    region = _parse_region(args.region)
     rng = np.random.default_rng(args.seed)
-    report = check_dissipation(cfg.cert, cfg.model, region, args.samples, rng)
+    report = check_dissipation(cfg.cert, cfg.model, args.region, args.samples, rng)
     print(f"samples {report.n_samples}, violations {report.n_violations}, "
           f"fraction {report.violation_fraction:.6f}, "
           f"worst margin {report.worst_margin:.6g}")
@@ -265,13 +255,22 @@ def _cmd_check_rges(args) -> int:
     return 0
 
 
-def _parse_region(text: str) -> Box:
-    pairs = [part.split(",") for part in text.split(";")]
-    if any(len(p) != 2 for p in pairs):
-        raise ConfigFileError(f"bad region '{text}', expected 'lo,hi;lo,hi;...'")
-    lower = np.array([float(p[0]) for p in pairs])
-    upper = np.array([float(p[1]) for p in pairs])
-    return Box(lower, upper)
+# argparse types: the ValueError of a malformed value becomes a usage error.
+def _floats(text: str) -> List[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def _ints(text: str) -> List[int]:
+    return [int(v) for v in text.split(",")]
+
+
+def _region(text: str) -> Box:
+    """The box 'lo,hi;lo,hi;...'."""
+    bounds = np.array([[float(v) for v in pair.split(",")]
+                       for pair in text.split(";")])
+    if bounds.shape[1:] != (2,) or np.any(bounds[:, 0] > bounds[:, 1]):
+        raise ValueError(text)
+    return Box(bounds[:, 0], bounds[:, 1])
 
 
 def _load(args, need_seed: bool = True) -> SimConfig:
@@ -298,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = add("sweep", _cmd_sweep, help="alpha/seed grid -> sweep.csv")
-    p.add_argument("--alphas", required=True)
-    p.add_argument("--seeds", required=True)
+    p.add_argument("--alphas", required=True, type=_floats)
+    p.add_argument("--seeds", required=True, type=_ints)
     p.add_argument("--out", required=True)
 
     add("min-horizon", _cmd_min_horizon, help="print the minimum stable horizon")
@@ -313,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-ioss", _cmd_check_ioss,
             help="sampled dissipation-inequality check")
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--region", required=True)
+    p.add_argument("--region", required=True, type=_region)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("check-rges", _cmd_check_rges, help="error-bound check on one run")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -11,9 +11,8 @@ import numpy as np
 from .certificate import (CertificateError, IossCertificate, RgesConstants,
                           rges_bound, rges_constants)
 # assemble_event_solution is not called here: perfbench/tracing.py wraps this name.
-from .mhe import (MheConfig, MheSolution, MheWindow, SolverSettings,
-                  assemble_event_solution, make_window, open_loop_predict,
-                  rollout, solve_nlp)
+from .mhe import (MheConfig, MheSolution, MheWindow, assemble_event_solution,
+                  make_window, open_loop_predict, rollout, solve_nlp)
 from .model import (Array, ConfigurationError, DisturbanceBounds, SystemModel,
                     sample_disturbance)
 from .trigger import EtmState, advance, compute_d, evaluate_trigger, extend
@@ -34,7 +33,6 @@ class SimConfig:
     xhat0: Array
     w_bounds: DisturbanceBounds
     seed: int = 0
-    solver: SolverSettings = field(default_factory=SolverSettings)
     allow_short_horizon: bool = False
 
     def __post_init__(self):
@@ -58,7 +56,6 @@ class SimConfig:
 
     def mhe_config(self) -> MheConfig:
         return MheConfig(M=self.M, alpha=self.alpha, cert=self.cert,
-                         solver=self.solver,
                          allow_short_horizon=self.allow_short_horizon)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -15,38 +15,29 @@ from .model import ConfigurationError, SystemModel
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Levenberg-Marquardt parameters."""
-
-    max_iterations: int = 100
-    gradient_tolerance: float = 1e-10
-    step_tolerance: float = 1e-12
-    cost_tolerance: float = 1e-9
-    initial_damping: float = 1e-3
-    damping_increase: float = 10.0
-    damping_decrease: float = 0.1
-
-    def __post_init__(self):
-        if not (self.max_iterations > 0 and all(0 < v < math.inf for v in (
-                self.gradient_tolerance, self.step_tolerance, self.cost_tolerance,
-                self.initial_damping, self.damping_increase, self.damping_decrease))):
-            raise ConfigurationError("solver settings must be positive and finite")
+# Levenberg-Marquardt internals: an iteration cap, the gradient, relative
+# step and flat-cost stopping tolerances, and the damping schedule.
+LM_MAX_ITERATIONS = 100
+LM_GRADIENT_TOLERANCE = 1e-10
+LM_STEP_TOLERANCE = 1e-12
+LM_COST_TOLERANCE = 1e-9
+LM_INITIAL_DAMPING = 1e-3
+LM_DAMPING_INCREASE = 10.0
+LM_DAMPING_DECREASE = 0.1
 
 
 @dataclass(frozen=True)
 class MheConfig:
-    """Horizon, trigger sensitivity, cost weights and solver settings."""
+    """Horizon, trigger sensitivity and cost weights."""
 
     M: int
     alpha: float
     cert: IossCertificate
-    solver: SolverSettings = field(default_factory=SolverSettings)
     allow_short_horizon: bool = False
 
     def __post_init__(self):
-        if self.M < 0:
-            raise ConfigurationError("horizon must be nonnegative")
+        if self.M < 1:
+            raise ConfigurationError("horizon must be at least 1")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigurationError("alpha must be finite and nonnegative")
         M_min = min_horizon(self.cert)
@@ -234,7 +225,6 @@ def solve_nlp(window: MheWindow, model: SystemModel, cfg: MheConfig,
     decision variables are handled by projecting each trial step. A
     non-convergent solve returns the best iterate with converged=False.
     """
-    s = cfg.solver
     Mt, n, q = window.horizon, model.n, model.q
     nz = n + Mt * q
     residuals = cost_residuals(window, cfg.cert, cfg.alpha)
@@ -265,11 +255,11 @@ def solve_nlp(window: MheWindow, model: SystemModel, cfg: MheConfig,
     z = np.clip(z, lo, hi)
 
     cost, R, h_fd, x_seq, y_seq = evaluate(z)
-    lam = s.initial_damping
+    lam = LM_INITIAL_DAMPING
     converged = False
     iterations = 0
 
-    while iterations < s.max_iterations:
+    while iterations < LM_MAX_ITERATIONS:
         iterations += 1
         # Forward-difference Jacobian, formed in place in the batch residuals.
         r = R[0]
@@ -278,7 +268,7 @@ def solve_nlp(window: MheWindow, model: SystemModel, cfg: MheConfig,
         J = R[1:].T
         g = J.T @ r
         g_proj = z - np.clip(z - g, lo, hi)
-        if np.max(np.abs(g_proj)) < s.gradient_tolerance:
+        if np.max(np.abs(g_proj)) < LM_GRADIENT_TOLERANCE:
             converged = True
             break
         # Freeze coordinates pressed against a bound so clipping cannot
@@ -296,14 +286,14 @@ def solve_nlp(window: MheWindow, model: SystemModel, cfg: MheConfig,
             try:
                 z_new = _boxed_step(JtJ + lam * np.diag(scale), g_masked, z, lo, hi)
             except np.linalg.LinAlgError:
-                lam *= s.damping_increase
+                lam *= LM_DAMPING_INCREASE
                 continue
             z_new[active] = z[active]
             trial = None  # release a rejected trial's batch before the next one
             trial = evaluate(z_new)
             if trial[0] <= cost:
                 break
-            lam *= s.damping_increase
+            lam *= LM_DAMPING_INCREASE
         else:
             # Damping exhausted without descent: stationary to working precision.
             converged = np.max(np.abs(g_proj)) < 1e-6
@@ -311,11 +301,11 @@ def solve_nlp(window: MheWindow, model: SystemModel, cfg: MheConfig,
         step_norm = np.linalg.norm(z_new - z)
         cost_drop = cost - trial[0]
         z, (cost, R, h_fd, x_seq, y_seq) = z_new, trial
-        lam = max(lam * s.damping_decrease, 1e-14)
-        if step_norm < s.step_tolerance * (1.0 + np.linalg.norm(z)):
+        lam = max(lam * LM_DAMPING_DECREASE, 1e-14)
+        if step_norm < LM_STEP_TOLERANCE * (1.0 + np.linalg.norm(z)):
             converged = True
             break
-        if cost_drop < s.cost_tolerance * max(cost, 1.0):
+        if cost_drop < LM_COST_TOLERANCE * max(cost, 1.0):
             # Flat valley: the objective no longer decreases meaningfully.
             converged = True
             break

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,12 +35,9 @@ class Box:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def contains(self, v: Array, tol: float = 0.0) -> bool:
+    def contains(self, v: Array) -> bool:
         v = np.asarray(v, dtype=float)
-        return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
-
-    def project(self, v: Array) -> Array:
-        return np.clip(v, self.lower, self.upper)
+        return bool(np.all(v >= self.lower) and np.all(v <= self.upper))
 
     @staticmethod
     def unbounded(dim: int) -> "Box":
@@ -66,14 +63,12 @@ class SystemModel:
     h: Callable[[Array, Array, Array], Array]
     x_set: Box
     w_set: Box
-    y_set: Box
 
     def __post_init__(self):
         if min(self.n, self.q, self.p) < 1 or self.m < 0:
             raise ConfigurationError("invalid model dimensions")
         for box, dim, name in ((self.x_set, self.n, "x_set"),
-                               (self.w_set, self.q, "w_set"),
-                               (self.y_set, self.p, "y_set")):
+                               (self.w_set, self.q, "w_set")):
             if box.dim != dim:
                 raise ConfigurationError(f"{name} dimension {box.dim} != {dim}")
         if not self.w_set.contains(np.zeros(self.q)):
@@ -134,7 +129,6 @@ BATCH_REACTOR_BOUNDS = DisturbanceBounds(np.array([1e-3, 1e-3, 0.1]))
 
 
 def batch_reactor(k1: float = 0.16, k2: float = 0.0064, tau: float = 0.1,
-                  nonnegative_states: bool = True,
                   w_bounds: DisturbanceBounds = BATCH_REACTOR_BOUNDS) -> SystemModel:
     """Euler-discretized two-species batch reactor with scalar concentration output.
 
@@ -154,9 +148,6 @@ def batch_reactor(k1: float = 0.16, k2: float = 0.0064, tau: float = 0.1,
     def h(x, u, w):
         return (x[..., 0] + x[..., 1] + w[..., 2])[..., None]
 
-    if nonnegative_states:
-        x_set = Box(np.zeros(2), np.full(2, np.inf))
-    else:
-        x_set = Box.unbounded(2)
     return SystemModel(n=2, m=0, q=3, p=1, f=f, h=h,
-                       x_set=x_set, w_set=w_bounds.as_box(), y_set=Box.unbounded(1))
+                       x_set=Box(np.zeros(2), np.full(2, np.inf)),
+                       w_set=w_bounds.as_box())

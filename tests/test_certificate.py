@@ -133,6 +133,13 @@ class TestRgesConstants:
     def test_rejects_short_horizon(self, bench_cert):
         with pytest.raises(CertificateError):
             rges_constants(bench_cert, alpha=5.0, M=14)
+        # A certificate whose minimum horizon is 0 still needs one step.
+        any_horizon = IossCertificate(P1=np.eye(2), P2=0.2 * np.eye(2),
+                                      Q=np.eye(1), R=np.eye(1), eta=0.5)
+        assert min_horizon(any_horizon) == 0
+        for M in (0, -1):
+            with pytest.raises(CertificateError, match="at least 1"):
+                rges_constants(any_horizon, alpha=5.0, M=M)
         for alpha in (-1.0, np.nan, np.inf):
             with pytest.raises(CertificateError, match="alpha"):
                 rges_constants(bench_cert, alpha=alpha, M=30)

@@ -8,7 +8,6 @@ import pytest
 from etmhe.cli import (ConfigFileError, main, parse_config, trace_columns,
                        write_trace_csv)
 from etmhe.harness import SimConfig, run_closed_loop
-from etmhe.mhe import SolverSettings
 from etmhe.model import BATCH_REACTOR_BOUNDS, Box, DisturbanceBounds, batch_reactor
 
 from conftest import CONFIG_PATH
@@ -25,7 +24,7 @@ def assert_model_equal(model, expected):
     for name in ("f", "h"):
         assert np.array_equal(getattr(model, name)(x, u, w),
                               getattr(expected, name)(x, u, w))
-    for name in ("x_set", "w_set", "y_set"):
+    for name in ("x_set", "w_set"):
         for side in ("lower", "upper"):
             np.testing.assert_array_equal(getattr(getattr(model, name), side),
                                           getattr(getattr(expected, name), side))
@@ -56,24 +55,26 @@ class TestParseConfig:
         assert_model_equal(cfg.model, batch_reactor())
         np.testing.assert_array_equal(cfg.w_bounds.bounds,
                                       BATCH_REACTOR_BOUNDS.bounds)
-        assert cfg.solver == SolverSettings()
         assert cfg.seed == 0 and cfg.allow_short_horizon is False
         # The benchmark file spells out the same defaults.
         assert_model_equal(bench_cfg.model, cfg.model)
-        assert bench_cfg.solver == cfg.solver
 
-    def test_optional_keys_override_defaults(self, tmp_path):
+    def test_optional_keys_override_defaults(self, tmp_path, capsys):
         text = (GOOD.replace("tau = 0.1", "tau = 0.2")
                 .replace("x_upper = inf, inf", "x_upper = 10, inf")
-                .replace("alpha = 5", "alpha = 5\nmax_iterations = 7\n"
-                         "damping_decrease = 0.5\nallow_short_horizon = 1"))
+                .replace("alpha = 5", "alpha = 5\nallow_short_horizon = 1"))
         cfg = parse_config(write_cfg(tmp_path, text))
         expected = dataclasses.replace(
             batch_reactor(tau=0.2), x_set=Box(np.zeros(2), np.array([10.0, np.inf])))
         assert_model_equal(cfg.model, expected)
-        assert cfg.solver == SolverSettings(max_iterations=7, damping_decrease=0.5)
-        assert type(cfg.solver.max_iterations) is int
         assert cfg.allow_short_horizon is True
+        # The LM internals are constants, not keys.
+        path = write_cfg(tmp_path, text.replace("alpha = 5", "alpha = 5\nmax_iterations = 7"))
+        with pytest.raises(ConfigFileError, match=r"case\.cfg:\d+: unknown key 'max_iterations'"):
+            parse_config(path)
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "case.cfg" in capsys.readouterr().err
 
     def test_unknown_key_reports_line(self, tmp_path):
         path = write_cfg(tmp_path, GOOD.replace("seed = 0", "sed = 0"))
@@ -114,13 +115,16 @@ class TestParseConfig:
         assert code == 2
         assert "case.cfg" in capsys.readouterr().err
 
-    def test_non_finite_solver_setting_rejected(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, GOOD.replace(
-            "alpha = 5", "alpha = 5\ngradient_tolerance = nan"))
-        with pytest.raises(ConfigFileError, match=r"case\.cfg: solver settings"):
-            parse_config(path)
-        assert main(["simulate", "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 2
+    def test_non_finite_solver_setting_rejected(self, tmp_path):
+        """The former solver keys, finite or not, are unknown keys."""
+        for key in ("max_iterations", "gradient_tolerance", "step_tolerance",
+                    "initial_damping", "damping_increase", "damping_decrease"):
+            path = write_cfg(tmp_path, GOOD.replace("alpha = 5", f"alpha = 5\n{key} = nan"))
+            with pytest.raises(ConfigFileError,
+                               match=rf"case\.cfg:\d+: unknown key '{key}'"):
+                parse_config(path)
+            assert main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
 
     def test_integral_numbers_accepted(self, tmp_path):
         text = GOOD.replace("T = 100", "T = 1e3").replace("seed = 0", "seed = 7.0")
@@ -220,6 +224,23 @@ class TestCommands:
         code = main(["check-rges", "--config", str(cfg)])
         assert code == 0
         assert "violations 0" in capsys.readouterr().out
+
+    def test_zero_horizon_exit_code(self, capsys):
+        code = main(["verify-prop1", "--config", str(CONFIG_PATH),
+                     "--horizon", "0", "--steps", "5"])
+        assert code == 2
+        assert "horizon must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,bad", [
+        ("sweep", "--alphas", "5,x"), ("sweep", "--seeds", "1.5"),
+        ("check-ioss", "--region", "a,5;0,5")])
+    def test_malformed_list_argument_exit_code(self, capsys, command, flag, bad):
+        valid = {"sweep": ["--alphas", "5", "--seeds", "0", "--out", "unused"],
+                 "check-ioss": ["--samples", "5", "--region", "0,5;0,5"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(CONFIG_PATH), *valid, flag, bad])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, GOOD.replace("eta = 0.91", "eta = 1.5"))

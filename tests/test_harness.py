@@ -165,6 +165,11 @@ class TestClosedLoop:
                 dataclasses.replace(bench_cfg,
                                     w_bounds=DisturbanceBounds(np.array(bounds)))
 
+    def test_zero_horizon_rejected(self, bench_cfg):
+        cfg = dataclasses.replace(bench_cfg, M=0, T=5, allow_short_horizon=True)
+        with pytest.raises(ConfigurationError, match="horizon must be at least 1"):
+            run_closed_loop(cfg)
+
 
 def linear_model_3x2():
     """x+ = A x + B u + (w1, w2, w3), y = (x1 + w4, x2 + x3 + w5): n=3, m=1, q=5, p=2.
@@ -186,7 +191,7 @@ def linear_model_3x2():
                         axis=-1)
 
     return SystemModel(n=3, m=1, q=5, p=2, f=f, h=h, x_set=Box.unbounded(3),
-                       w_set=Box.unbounded(5), y_set=Box.unbounded(2))
+                       w_set=Box.unbounded(5))
 
 
 class TestOtherShape:

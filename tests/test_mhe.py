@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from etmhe import (Box, ConfigurationError, IossCertificate, MheConfig,
-                   MheWindow, SolverSettings, SystemModel,
+                   MheWindow, SystemModel,
                    assemble_event_solution, cost_residuals, eval_cost, make_window,
                    open_loop_predict, rollout, solve_nlp, output,
                    sample_disturbance, step)
+from etmhe import mhe
 from etmhe.model import DisturbanceBounds
 
 
@@ -21,8 +22,7 @@ def scalar_linear_model(a=0.9):
         return (x[..., 0] + w[..., 1])[..., None]
 
     return SystemModel(n=1, m=0, q=2, p=1, f=f, h=h,
-                       x_set=Box.unbounded(1), w_set=Box.unbounded(2),
-                       y_set=Box.unbounded(1))
+                       x_set=Box.unbounded(1), w_set=Box.unbounded(2))
 
 
 def scalar_cert(eta=0.9):
@@ -101,19 +101,22 @@ class TestMheConfig:
         with pytest.raises(ConfigurationError, match="alpha"):
             MheConfig(M=30, alpha=alpha, cert=bench_cert)
 
-    def test_solver_settings_validated(self):
-        with pytest.raises(ConfigurationError):
-            SolverSettings(max_iterations=0)
-        with pytest.raises(ConfigurationError):
-            SolverSettings(gradient_tolerance=-1.0)
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_at_least_one(self, horizon):
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            MheConfig(M=horizon, alpha=5.0, cert=scalar_cert(),
+                      allow_short_horizon=True)
 
     @pytest.mark.parametrize("field", ["gradient_tolerance", "step_tolerance",
                                        "cost_tolerance", "initial_damping",
                                        "damping_increase", "damping_decrease"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_solver_settings_finite(self, field, bad):
-        with pytest.raises(ConfigurationError, match="finite"):
-            SolverSettings(**{field: bad})
+    def test_solver_settings_finite(self, bench_cert, field, bad):
+        """The LM internals are module constants, positive and finite; no
+        value, finite or not, can be passed in through MheConfig."""
+        assert 0 < getattr(mhe, "LM_" + field.upper()) < np.inf
+        with pytest.raises(TypeError, match=field):
+            MheConfig(M=30, alpha=5.0, cert=bench_cert, **{field: bad})
 
 
 class TestRollout:
@@ -301,7 +304,6 @@ class TestSolver:
         assert sol.x_seq.base is None and sol.y_seq.base is None
 
     def test_one_rollout_per_trial(self, bench_model, bench_cert, monkeypatch):
-        import etmhe.mhe as mhe
         calls = {"rollout": 0, "step": 0}
 
         def counting(name, fn):
@@ -320,10 +322,10 @@ class TestSolver:
         # Jacobian or final-trajectory rollouts.
         assert calls["rollout"] == calls["step"] + 1
 
-    def test_iteration_budget_respected(self, bench_model, bench_cert):
+    def test_iteration_budget_respected(self, bench_model, bench_cert, monkeypatch):
+        monkeypatch.setattr(mhe, "LM_MAX_ITERATIONS", 2)
         window, _, _ = bench_window(bench_model, bench_cert)
-        cfg = MheConfig(M=30, alpha=5.0, cert=bench_cert,
-                        solver=SolverSettings(max_iterations=2))
+        cfg = MheConfig(M=30, alpha=5.0, cert=bench_cert)
         sol = solve_nlp(window, bench_model, cfg)
         assert sol.iterations <= 2
 
