@@ -196,22 +196,22 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    report = run_alpha_sweep(cfg, args.alphas, args.seeds)
+    rows = run_alpha_sweep(cfg, args.alphas, args.seeds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["alpha,seed,t,gamma"]
-    for row in report.rows:
+    for row in rows:
         for t, g in enumerate(row.gamma):
             lines.append(f"{_fmt(row.alpha)},{row.seed},{t},{int(g)}")
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
-    for row in report.rows:
+    for row in rows:
         print(f"alpha={row.alpha:g} seed={row.seed} "
               f"event_fraction={row.event_fraction:.4f}")
     return 0
 
 
 def _cmd_min_horizon(args) -> int:
-    cfg = _load(args, need_seed=False)
+    cfg = _load(args)
     print(min_horizon(cfg.cert))
     return 0
 
@@ -273,9 +273,9 @@ def _region(text: str) -> Box:
     return Box(bounds[:, 0], bounds[:, 1])
 
 
-def _load(args, need_seed: bool = True) -> SimConfig:
+def _load(args) -> SimConfig:
     cfg = parse_config(args.config)
-    if need_seed and getattr(args, "seed", None) is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .certificate import (CertificateError, IossCertificate, RgesConstants,
-                          rges_bound, rges_constants)
-# assemble_event_solution is not called here: perfbench/tracing.py wraps this name.
-from .mhe import (MheConfig, MheSolution, MheWindow, assemble_event_solution,
-                  make_window, open_loop_predict, rollout, solve_nlp)
+                          min_horizon, rges_bound, rges_constants)
+# assemble_event_solution and open_loop_predict are not called here:
+# perfbench/tracing.py wraps these names.
+from .mhe import (MheSolution, MheWindow, assemble_event_solution,
+                  open_loop_predict, rollout, solve_nlp)
 from .model import (Array, ConfigurationError, DisturbanceBounds, SystemModel,
                     sample_disturbance)
 from .trigger import EtmState, advance, compute_d, evaluate_trigger, extend
@@ -38,8 +40,10 @@ class SimConfig:
     def __post_init__(self):
         if self.T < 1:
             raise ConfigurationError("simulation length must be at least 1")
-        if not math.isfinite(self.alpha):
-            raise ConfigurationError("alpha must be finite")
+        if self.M < 1:
+            raise ConfigurationError("horizon must be at least 1")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigurationError("alpha must be finite and nonnegative")
         if self.w_bounds.bounds.shape != (self.model.q,):
             raise ConfigurationError("w_bounds has wrong dimension")
         x0 = np.asarray(self.x0, dtype=float)
@@ -53,10 +57,6 @@ class SimConfig:
                 raise ConfigurationError(f"{name} outside the admissible state set")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "xhat0", xhat0)
-
-    def mhe_config(self) -> MheConfig:
-        return MheConfig(M=self.M, alpha=self.alpha, cert=self.cert,
-                         allow_short_horizon=self.allow_short_horizon)
 
 
 @dataclass
@@ -97,11 +97,12 @@ class SimTrace:
         return np.linalg.norm(self.w, axis=1)
 
 
-def _warm_start(prev_sol: MheSolution, prev_t: int, window: MheWindow):
-    """The solution of the event at prev_t shifted to the new window start:
-    its state there (past its end, the open-loop estimate held in the
-    prior) and its disturbances from there on, zero-padded."""
-    offset = (window.t - window.horizon) - (prev_t - len(prev_sol.w_seq))
+def _warm_start(prev_sol: MheSolution, prev_t: int, t: int, window: MheWindow):
+    """The solution of the event at prev_t shifted to the start of the
+    window ending at t: its state there (past its end, the open-loop
+    estimate held in the prior) and its disturbances from there on,
+    zero-padded."""
+    offset = (t - window.horizon) - (prev_t - len(prev_sol.w_seq))
     x_start = prev_sol.x_seq[offset] if offset < len(prev_sol.x_seq) else window.prior
     kept = prev_sol.w_seq[offset:]
     pad = np.zeros((window.horizon - len(kept), kept.shape[1]))
@@ -112,10 +113,18 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
     """Simulate the full plant / trigger / remote-estimator loop.
 
     Deterministic for a fixed (config, seed). Solver failures are recorded
-    in the trace and do not abort the run.
+    in the trace and do not abort the run. A horizon below min_horizon is
+    an error unless cfg.allow_short_horizon, which turns it into a warning.
     """
     model, cert, T = cfg.model, cfg.cert, cfg.T
-    mhe_cfg = cfg.mhe_config()
+    M_min = min_horizon(cert)
+    if cfg.M < M_min:
+        if not cfg.allow_short_horizon:
+            raise ConfigurationError(
+                f"horizon {cfg.M} below stability minimum {M_min} "
+                "(set allow_short_horizon to override)")
+        warnings.warn(f"horizon {cfg.M} below stability minimum {M_min}",
+                      stacklevel=2)
     rng = np.random.default_rng(cfg.seed)
 
     w = sample_disturbance(rng, cfg.w_bounds, T + 1)
@@ -154,10 +163,10 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
             # Send the outputs since the last event, at most M; older ones went before.
             tx[t] = t - max(t - cfg.M, etm.eps)
             Mt = min(t, cfg.M)
-            window = make_window(t=t, delta=0, M=cfg.M, prior=xhat[t - Mt],
-                                 measurements=y[t - Mt:t], inputs=u[t - Mt:t])
-            warm = None if last_sol is None else _warm_start(last_sol, etm.eps, window)
-            sol = solve_nlp(window, model, mhe_cfg, warm_start=warm)
+            window = MheWindow(delta=0, prior=xhat[t - Mt],
+                               measurements=y[t - Mt:t], inputs=u[t - Mt:t])
+            warm = None if last_sol is None else _warm_start(last_sol, etm.eps, t, window)
+            sol = solve_nlp(window, model, cert, cfg.alpha, warm_start=warm)
             xhat[t] = sol.estimate
             d_next = compute_d(sol, window, cert)
             gamma[t] = 1
@@ -168,7 +177,7 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
             last_sol = sol
             etm = advance(etm, True, d_next, xhat[t])
         else:
-            xhat[t] = open_loop_predict(model, xhat[t - 1], u[t - 1])
+            xhat[t] = etm.pred  # f(xhat[t-1], u[t-1], 0), computed by extend
             delta[t] = t - etm.eps
             d[t + 1] = d[t]
             etm = advance(etm, False)
@@ -206,7 +215,6 @@ def verify_proposition1(cfg: SimConfig) -> EquivalenceReport:
     """
     trace = run_closed_loop(cfg)
     model, cert, T = cfg.model, cfg.cert, cfg.T
-    mhe_cfg = cfg.mhe_config()
     u = np.zeros((T + 1, model.m))
 
     oracle_xhat = np.empty_like(trace.xhat)
@@ -218,10 +226,9 @@ def verify_proposition1(cfg: SimConfig) -> EquivalenceReport:
         dt = int(trace.delta[t])
         Mt = min(t, cfg.M + dt)
         start = t - Mt
-        meas = trace.y[start:t - dt]
-        window = MheWindow(t=t, delta=dt, horizon=Mt, prior=oracle_xhat[start],
-                           measurements=meas, inputs=u[start:t])
-        sol = solve_nlp(window, model, mhe_cfg)
+        window = MheWindow(delta=dt, prior=oracle_xhat[start],
+                           measurements=trace.y[start:t - dt], inputs=u[start:t])
+        sol = solve_nlp(window, model, cert, cfg.alpha)
         oracle_xhat[t] = sol.estimate
         oracle_cost[t] = sol.cost
         max_disc = max(max_disc, float(np.max(np.abs(oracle_xhat[t] - trace.xhat[t]))))
@@ -243,13 +250,8 @@ class SweepRow:
     rmse: Array
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    rows: List[SweepRow]
-
-
 def run_alpha_sweep(cfg: SimConfig, alphas: Sequence[float],
-                    seeds: Sequence[int]) -> SweepReport:
+                    seeds: Sequence[int]) -> List[SweepRow]:
     """Closed-loop runs over a grid of trigger sensitivities and seeds.
 
     Each (alpha, seed) pair replays the identical disturbance realization
@@ -267,7 +269,7 @@ def run_alpha_sweep(cfg: SimConfig, alphas: Sequence[float],
                                  gamma=trace.gamma.copy(),
                                  event_fraction=trace.event_fraction,
                                  rmse=rmse))
-    return SweepReport(rows=rows)
+    return rows
 
 
 @dataclass(frozen=True)

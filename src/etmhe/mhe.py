@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
+# min_horizon is not called here: perfbench/tracing.py wraps this name.
 from .certificate import IossCertificate, min_horizon
 from .model import ConfigurationError, SystemModel
 
@@ -27,67 +26,37 @@ LM_DAMPING_DECREASE = 0.1
 
 
 @dataclass(frozen=True)
-class MheConfig:
-    """Horizon, trigger sensitivity and cost weights."""
-
-    M: int
-    alpha: float
-    cert: IossCertificate
-    allow_short_horizon: bool = False
-
-    def __post_init__(self):
-        if self.M < 1:
-            raise ConfigurationError("horizon must be at least 1")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ConfigurationError("alpha must be finite and nonnegative")
-        M_min = min_horizon(self.cert)
-        if self.M < M_min:
-            if not self.allow_short_horizon:
-                raise ConfigurationError(
-                    f"horizon {self.M} below stability minimum {M_min} "
-                    "(set allow_short_horizon to override)")
-            warnings.warn(f"horizon {self.M} below stability minimum {M_min}",
-                          stacklevel=2)
-
-
-@dataclass(frozen=True)
 class MheWindow:
-    """Measurement window for one solve at time t.
+    """Data of one solve: a window of horizon = len(inputs) steps.
 
-    horizon is the effective length M_t = min(t, M + delta); measurements
-    holds the transmitted outputs y_j for j in [t - M_t, t - delta - 1].
+    prior is the prior for the window's first state; measurements holds
+    the transmitted outputs of all but the last delta steps, shape
+    (horizon - delta, p).
     """
 
-    t: int
     delta: int
-    horizon: int
     prior: Array
     measurements: Array
     inputs: Array
 
     def __post_init__(self):
-        if self.delta < 0 or self.horizon < self.delta or self.horizon > self.t:
-            raise ConfigurationError("inconsistent window bookkeeping")
-        meas = np.atleast_2d(np.asarray(self.measurements, dtype=float)) \
-            if np.size(self.measurements) else np.zeros((0, 0))
-        if len(meas) != self.horizon - self.delta:
+        prior, meas, inputs = (np.asarray(v, dtype=float) for v in
+                               (self.prior, self.measurements, self.inputs))
+        if meas.ndim != 2:
+            raise ConfigurationError("measurements must be 2-D, one row per step")
+        if not 0 <= self.delta <= len(inputs):
+            raise ConfigurationError("delta must lie between 0 and the horizon")
+        if len(meas) != len(inputs) - self.delta:
             raise ConfigurationError(
-                f"expected {self.horizon - self.delta} measurements, got {len(meas)}")
-        inputs = np.asarray(self.inputs, dtype=float)
-        if len(inputs) != self.horizon:
-            raise ConfigurationError(f"expected {self.horizon} inputs")
-        prior = np.asarray(self.prior, dtype=float)
+                f"expected {len(inputs) - self.delta} measurements, got {len(meas)}")
         for name, v in (("prior", prior), ("measurements", meas), ("inputs", inputs)):
             if not np.isfinite(v).all():
                 raise ConfigurationError(f"window {name} must be finite")
             object.__setattr__(self, name, v)
 
-
-def make_window(t: int, delta: int, M: int, prior: Array,
-                measurements: Array, inputs: Array) -> MheWindow:
-    """Window with the prescribed effective horizon min(t, M + delta)."""
-    return MheWindow(t=t, delta=delta, horizon=min(t, M + delta),
-                     prior=prior, measurements=measurements, inputs=inputs)
+    @property
+    def horizon(self) -> int:
+        return len(self.inputs)
 
 
 @dataclass(frozen=True)
@@ -157,8 +126,9 @@ def cost_residuals(window: MheWindow, cert: IossCertificate, alpha: float):
     Ur = _sqrt_factor(cert.R)
     sw = np.sqrt(2.0 * (alpha + 1.0) * disc)
     sy = np.sqrt((alpha + 1.0) * disc[:n_meas])
-    # An unmeasured window stores its measurements as (0, 0); give them p columns.
-    meas = np.reshape(window.measurements, (n_meas, len(Ur)))
+    meas = window.measurements
+    if meas.shape[1] != len(Ur):
+        raise ConfigurationError("measurements do not match the output dimension")
 
     def residuals(x_init: Array, w_seq: Array, y_seq: Array) -> Array:
         batch = np.shape(x_init)[:-1]
@@ -172,12 +142,12 @@ def cost_residuals(window: MheWindow, cert: IossCertificate, alpha: float):
 
 
 def eval_cost(window: MheWindow, x_init: Array, w_seq: Array,
-              model: SystemModel, cfg: MheConfig) -> float:
+              model: SystemModel, cert: IossCertificate, alpha: float) -> float:
     """Discounted least-squares cost of a candidate (x_init, w_seq)."""
     x_init = np.asarray(x_init, dtype=float)
     w_seq = np.asarray(w_seq, dtype=float).reshape(window.horizon, model.q)
     _, y_seq = rollout(model, x_init, window.inputs, w_seq)
-    r = cost_residuals(window, cfg.cert, cfg.alpha)(x_init, w_seq, y_seq)
+    r = cost_residuals(window, cert, alpha)(x_init, w_seq, y_seq)
     return float(r @ r)
 
 
@@ -216,7 +186,8 @@ def _boxed_step(A: Array, g: Array, z: Array, lo: Array, hi: Array) -> Array:
     return np.clip(z + dz, lo, hi)
 
 
-def solve_nlp(window: MheWindow, model: SystemModel, cfg: MheConfig,
+def solve_nlp(window: MheWindow, model: SystemModel, cert: IossCertificate,
+              alpha: float,
               warm_start: Optional[Tuple[Array, Array]] = None) -> MheSolution:
     """Minimize the window cost over (x_init, w_seq) by projected
     Levenberg-Marquardt with single shooting.
@@ -227,7 +198,7 @@ def solve_nlp(window: MheWindow, model: SystemModel, cfg: MheConfig,
     """
     Mt, n, q = window.horizon, model.n, model.q
     nz = n + Mt * q
-    residuals = cost_residuals(window, cfg.cert, cfg.alpha)
+    residuals = cost_residuals(window, cert, alpha)
 
     lo = np.concatenate([model.x_set.lower, np.tile(model.w_set.lower, Mt)])
     hi = np.concatenate([model.x_set.upper, np.tile(model.w_set.upper, Mt)])

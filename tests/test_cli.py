@@ -190,6 +190,23 @@ class TestCommands:
         assert code == 0
         assert capsys.readouterr().out.strip() == "15"
 
+    def test_min_horizon_of_short_horizon_config(self, tmp_path, capsys):
+        # The minimum-horizon rule belongs to a run, not to the config file.
+        cfg = write_cfg(tmp_path, GOOD.replace("M = 30", "M = 5"))
+        code = main(["min-horizon", "--config", str(cfg)])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "15"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "below stability minimum 15" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new", [("M = 30", "M = 0"), ("M = 30", "M = -1"),
+                                         ("alpha = 5", "alpha = -1")])
+    def test_bad_horizon_or_alpha_exit_code(self, tmp_path, capsys, old, new):
+        cfg = write_cfg(tmp_path, GOOD.replace(old, new))
+        assert main(["min-horizon", "--config", str(cfg)]) == 2
+        assert "case.cfg" in capsys.readouterr().err
+
     def test_simulate_writes_trace(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, GOOD.replace("T = 100", "T = 20"))
         code = main(["simulate", "--config", str(cfg),
@@ -208,8 +225,9 @@ class TestCommands:
         assert len(lines) == 1 + 2 * 16
 
     def test_verify_prop1_passes(self, tmp_path, capsys):
-        code = main(["verify-prop1", "--config", str(CONFIG_PATH),
-                     "--horizon", "5", "--steps", "20"])
+        with pytest.warns(UserWarning, match="below stability minimum"):
+            code = main(["verify-prop1", "--config", str(CONFIG_PATH),
+                         "--horizon", "5", "--steps", "20"])
         assert code == 0
         assert "discrepancy" in capsys.readouterr().out
 

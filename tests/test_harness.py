@@ -47,13 +47,15 @@ class TestClosedLoop:
 
     def test_open_loop_between_events(self, short_cfg, short_trace):
         # At silent steps the estimate is the nominal propagation of the
-        # previous one.
+        # previous one, bit for bit; alpha = 20 leaves long silences.
         model = short_cfg.model
-        for t in range(1, short_trace.T + 1):
-            if short_trace.gamma[t]:
-                continue
-            pred = model.f(short_trace.xhat[t - 1], np.zeros(0), np.zeros(3))
-            np.testing.assert_allclose(short_trace.xhat[t], pred, atol=1e-14)
+        u, zero_w = np.zeros(model.m), np.zeros(model.q)
+        long_silences = run_closed_loop(dataclasses.replace(short_cfg, alpha=20.0, T=150))
+        assert np.sum(long_silences.gamma == 0) > 100
+        for tr in (short_trace, long_silences):
+            for t in np.flatnonzero(tr.gamma == 0):
+                np.testing.assert_array_equal(tr.xhat[t],
+                                              model.f(tr.xhat[t - 1], u, zero_w))
 
     def test_trigger_bookkeeping_invariants(self, short_trace):
         tr = short_trace
@@ -69,8 +71,8 @@ class TestClosedLoop:
 
     def test_trigger_prediction_is_silent_estimate(self, short_cfg,
                                                    monkeypatch):
-        # The plant-side prediction and the estimator's open-loop fallback
-        # are computed separately and must agree bit for bit.
+        # The estimator's open-loop fallback is the plant-side prediction
+        # that extend made for the step.
         preds = {}
 
         def recording(state, gamma, *args):
@@ -124,12 +126,12 @@ class TestClosedLoop:
         branches = []
         warm_start = harness._warm_start
 
-        def checked(prev_sol, prev_t, window):
-            x_start, w_seq = warm_start(prev_sol, prev_t, window)
-            delta = window.t - prev_t
+        def checked(prev_sol, prev_t, t, window):
+            x_start, w_seq = warm_start(prev_sol, prev_t, t, window)
+            delta = t - prev_t
             ext = assemble_event_solution(prev_sol, delta, cfg.model,
                                           np.zeros((delta, cfg.model.m)))
-            offset = (window.t - window.horizon) - (prev_t - len(prev_sol.w_seq))
+            offset = (t - window.horizon) - (prev_t - len(prev_sol.w_seq))
             np.testing.assert_array_equal(x_start, ext.x_seq[offset])
             np.testing.assert_array_equal(w_seq, ext.w_seq[offset:])
             branches.append(np.sign(offset - (len(prev_sol.x_seq) - 1)))
@@ -166,9 +168,8 @@ class TestClosedLoop:
                                     w_bounds=DisturbanceBounds(np.array(bounds)))
 
     def test_zero_horizon_rejected(self, bench_cfg):
-        cfg = dataclasses.replace(bench_cfg, M=0, T=5, allow_short_horizon=True)
         with pytest.raises(ConfigurationError, match="horizon must be at least 1"):
-            run_closed_loop(cfg)
+            dataclasses.replace(bench_cfg, M=0, T=5, allow_short_horizon=True)
 
 
 def linear_model_3x2():
@@ -241,12 +242,12 @@ class TestOracleEquivalence:
 class TestSweep:
     def test_alpha_monotonicity_tendency(self, bench_cfg):
         cfg = dataclasses.replace(bench_cfg, T=40)
-        report = run_alpha_sweep(cfg, alphas=[0.0, 5.0], seeds=[0])
-        by_alpha = {row.alpha: row for row in report.rows}
+        rows = run_alpha_sweep(cfg, alphas=[0.0, 5.0], seeds=[0])
+        by_alpha = {row.alpha: row for row in rows}
         # alpha = 0 solves every step; a positive alpha must not solve more.
         assert by_alpha[0.0].event_fraction == 1.0
         assert by_alpha[5.0].event_fraction <= 1.0
-        assert len(report.rows) == 2
+        assert len(rows) == 2
         assert by_alpha[5.0].rmse.shape == (2,)
 
     def test_empty_grid_rejected(self, bench_cfg):

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from etmhe import (EtmState, MheConfig, TriggerError, advance, compute_d,
-                   evaluate_trigger, extend, make_window, output,
-                   sample_disturbance, solve_nlp, step)
+from etmhe import (EtmState, MheWindow, TriggerError, advance, compute_d,
+                   evaluate_trigger, extend, output, sample_disturbance,
+                   solve_nlp, step)
 from etmhe.model import DisturbanceBounds
 
 
@@ -146,10 +146,9 @@ class TestComputeD:
         # solved window: (J - prior term) / (alpha + 1).
         t, alpha = 10, 5.0
         ys, _ = simulate(bench_model, t)
-        window = make_window(t=t, delta=0, M=30, prior=np.array([0.1, 4.5]),
-                             measurements=ys, inputs=np.zeros((t, 0)))
-        cfg = MheConfig(M=30, alpha=alpha, cert=bench_cert)
-        sol = solve_nlp(window, bench_model, cfg)
+        window = MheWindow(delta=0, prior=np.array([0.1, 4.5]),
+                           measurements=ys, inputs=np.zeros((t, 0)))
+        sol = solve_nlp(window, bench_model, bench_cert, alpha)
         d = compute_d(sol, window, bench_cert)
         dp = sol.x_init - window.prior
         prior_term = 2.0 * bench_cert.eta ** t * float(dp @ bench_cert.P2 @ dp)
@@ -161,11 +160,10 @@ class TestComputeD:
     def test_matches_explicit_sum(self, bench_model, bench_cert, t):
         # M_t = 10 < M and M_t = M = 30.
         ys, _ = simulate(bench_model, t)
-        window = make_window(t=t, delta=0, M=30, prior=np.array([0.1, 4.5]),
-                             measurements=ys[-min(t, 30):],
-                             inputs=np.zeros((min(t, 30), 0)))
-        sol = solve_nlp(window, bench_model,
-                        MheConfig(M=30, alpha=5.0, cert=bench_cert))
+        window = MheWindow(delta=0, prior=np.array([0.1, 4.5]),
+                           measurements=ys[-min(t, 30):],
+                           inputs=np.zeros((min(t, 30), 0)))
+        sol = solve_nlp(window, bench_model, bench_cert, 5.0)
         eta, Mt = bench_cert.eta, window.horizon
         d = 0.0
         for k in range(Mt):
@@ -177,12 +175,9 @@ class TestComputeD:
 
     def test_event_time_only(self, bench_model, bench_cert):
         ys, _ = simulate(bench_model, 6)
-        window = make_window(t=6, delta=2, M=4, prior=np.array([0.1, 4.5]),
-                             measurements=ys[:4], inputs=np.zeros((6, 0)))
-        with pytest.warns(UserWarning):
-            cfg = MheConfig(M=4, alpha=5.0, cert=bench_cert,
-                            allow_short_horizon=True)
-        sol = solve_nlp(window, bench_model, cfg)
+        window = MheWindow(delta=2, prior=np.array([0.1, 4.5]),
+                           measurements=ys[:4], inputs=np.zeros((6, 0)))
+        sol = solve_nlp(window, bench_model, bench_cert, 5.0)
         with pytest.raises(TriggerError):
             compute_d(sol, window, bench_cert)
 
