@@ -6,10 +6,11 @@ from .certificate import (CertificateError, DissipationReport, IossCertificate,
                           rges_constants)
 from .harness import (BoundReport, EquivalenceReport, MetricsReport, SimConfig,
                       SimTrace, check_rges, performance_metrics,
-                      run_alpha_sweep, run_closed_loop, verify_proposition1)
+                      run_alpha_sweep, run_closed_loop, run_closed_loop_batch,
+                      verify_proposition1)
 from .mhe import (MheSolution, MheWindow, assemble_event_solution,
                   cost_residuals, eval_cost, open_loop_predict, rollout,
-                  solve_nlp)
+                  solve_nlp, solve_nlp_batch)
 from .model import (Box, ConfigurationError, DisturbanceBounds, SystemModel,
                     batch_reactor, output, sample_disturbance, step)
 from .trigger import (EtmState, TriggerError, advance, compute_d, evaluate_trigger,

@@ -14,7 +14,7 @@ from .certificate import (CertificateError, IossCertificate, RgesConstants,
 # assemble_event_solution and open_loop_predict are not called here:
 # perfbench/tracing.py wraps these names.
 from .mhe import (MheSolution, MheWindow, assemble_event_solution,
-                  open_loop_predict, rollout, solve_nlp)
+                  open_loop_predict, rollout, solve_nlp, solve_nlp_batch)
 from .model import (Array, ConfigurationError, DisturbanceBounds, SystemModel,
                     sample_disturbance)
 from .trigger import EtmState, advance, compute_d, evaluate_trigger, extend
@@ -116,83 +116,116 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
     in the trace and do not abort the run. A horizon below min_horizon is
     an error unless cfg.allow_short_horizon, which turns it into a warning.
     """
-    model, cert, T = cfg.model, cfg.cert, cfg.T
+    return _lockstep([cfg])[0]
+
+
+def run_closed_loop_batch(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
+    """run_closed_loop on each config, stepped in lockstep.
+
+    The runs must share model, cert, M and T. At each step, the solves of
+    all runs that fire share their rollouts (solve_nlp_batch), so each
+    trace equals its run_closed_loop trace bit for bit. The minimum-horizon
+    rule is applied once: a short horizon is an error unless every run
+    allows it, and then one warning.
+    """
+    return _lockstep(cfgs)
+
+
+def _lockstep(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
+    """The closed loop of run_closed_loop_batch; its warning names the line
+    that called run_closed_loop or run_closed_loop_batch."""
+    if not len(cfgs):
+        raise ConfigurationError("a batch needs at least one run")
+    model, cert, M, T = cfgs[0].model, cfgs[0].cert, cfgs[0].M, cfgs[0].T
+    if any(c.model is not model or c.cert is not cert or c.M != M or c.T != T
+           for c in cfgs):
+        raise ConfigurationError("the runs of a batch must share model, cert, M and T")
     M_min = min_horizon(cert)
-    if cfg.M < M_min:
-        if not cfg.allow_short_horizon:
+    if M < M_min:
+        if not all(c.allow_short_horizon for c in cfgs):
             raise ConfigurationError(
-                f"horizon {cfg.M} below stability minimum {M_min} "
+                f"horizon {M} below stability minimum {M_min} "
                 "(set allow_short_horizon to override)")
-        warnings.warn(f"horizon {cfg.M} below stability minimum {M_min}",
-                      stacklevel=2)
-    rng = np.random.default_rng(cfg.seed)
+        warnings.warn(f"horizon {M} below stability minimum {M_min}",
+                      stacklevel=3)
+    K = len(cfgs)
 
-    w = sample_disturbance(rng, cfg.w_bounds, T + 1)
+    # All plants in one rollout, one disturbance draw per run.
+    w = np.stack([sample_disturbance(np.random.default_rng(c.seed), c.w_bounds, T + 1)
+                  for c in cfgs])
     u = np.zeros((T + 1, model.m))
-    x, y = rollout(model, cfg.x0, u[:T], w[:T])
-    y = np.vstack([y, model.h(x[T], u[T], w[T])])
+    x, y = rollout(model, np.stack([c.x0 for c in cfgs]), u[:T], w[:, :T])
+    y = np.concatenate([y, model.h(x[:, T], u[T], w[:, T])[:, None]], axis=1)
 
-    try:
-        constants = rges_constants(cert, cfg.alpha, cfg.M)
-    except CertificateError:
-        constants = None
+    xhat = np.empty((K, T + 1, model.n))
+    xhat[:, 0] = [c.xhat0 for c in cfgs]
+    gamma = np.zeros((K, T + 1), dtype=int)
+    delta = np.zeros((K, T + 1), dtype=int)
+    eps = np.zeros((K, T + 1), dtype=int)
+    d = np.zeros((K, T + 2))
+    iters = np.zeros((K, T + 1), dtype=int)
+    converged = np.ones((K, T + 1), dtype=bool)
+    cost = np.full((K, T + 1), np.nan)
+    tx = np.zeros((K, T + 1), dtype=int)
+    trig_lhs = np.full((K, T + 1), np.nan)
+    trig_threshold = np.full((K, T + 1), np.nan)
+    gamma[:, 0] = 1
 
-    xhat = np.empty((T + 1, model.n))
-    xhat[0] = cfg.xhat0
-    gamma = np.zeros(T + 1, dtype=int)
-    delta = np.zeros(T + 1, dtype=int)
-    eps = np.zeros(T + 1, dtype=int)
-    d = np.zeros(T + 2)
-    iters = np.zeros(T + 1, dtype=int)
-    converged = np.ones(T + 1, dtype=bool)
-    cost = np.full(T + 1, np.nan)
-    tx = np.zeros(T + 1, dtype=int)
-    trig_lhs = np.full(T + 1, np.nan)
-    trig_threshold = np.full(T + 1, np.nan)
-    gamma[0] = 1
-
-    etm = EtmState.initial(cfg.alpha, cfg.xhat0)
-    last_sol: Optional[MheSolution] = None
+    etm = [EtmState.initial(c.alpha, c.xhat0) for c in cfgs]
+    last_sol: List[Optional[MheSolution]] = [None] * K
 
     for t in range(1, T + 1):
-        etm = extend(etm, model, y[t - 1], u[t - 1], cert)
-        fire = evaluate_trigger(etm, cert)
-        eps[t] = etm.eps
-        trig_lhs[t], trig_threshold[t] = etm.lhs, etm.threshold(cert.eta)
-        if fire:
-            # Send the outputs since the last event, at most M; older ones went before.
-            tx[t] = t - max(t - cfg.M, etm.eps)
-            Mt = min(t, cfg.M)
-            window = MheWindow(delta=0, prior=xhat[t - Mt],
-                               measurements=y[t - Mt:t], inputs=u[t - Mt:t])
-            warm = None if last_sol is None else _warm_start(last_sol, etm.eps, t, window)
-            sol = solve_nlp(window, model, cert, cfg.alpha, warm_start=warm)
-            xhat[t] = sol.estimate
+        Mt = min(t, M)
+        fired, problems = [], []
+        for k, cfg in enumerate(cfgs):
+            etm[k] = extend(etm[k], model, y[k, t - 1], u[t - 1], cert)
+            eps[k, t] = etm[k].eps
+            trig_lhs[k, t] = etm[k].lhs
+            trig_threshold[k, t] = etm[k].threshold(cert.eta)
+            if evaluate_trigger(etm[k], cert):
+                # Send the outputs since the last event, at most M; older
+                # ones went before.
+                tx[k, t] = t - max(t - M, etm[k].eps)
+                window = MheWindow(delta=0, prior=xhat[k, t - Mt],
+                                   measurements=y[k, t - Mt:t], inputs=u[t - Mt:t])
+                warm = (None if last_sol[k] is None
+                        else _warm_start(last_sol[k], etm[k].eps, t, window))
+                fired.append(k)
+                problems.append((window, cert, cfg.alpha, warm))
+            else:
+                xhat[k, t] = etm[k].pred  # f(xhat[t-1], u[t-1], 0), computed by extend
+                delta[k, t] = t - etm[k].eps
+                d[k, t + 1] = d[k, t]
+                etm[k] = advance(etm[k], False)
+        if not problems:
+            continue
+        for k, (window, *_), sol in zip(fired, problems,
+                                        solve_nlp_batch(problems, model)):
+            xhat[k, t] = sol.estimate
             d_next = compute_d(sol, window, cert)
-            gamma[t] = 1
-            d[t + 1] = d_next
-            iters[t] = sol.iterations
-            converged[t] = sol.converged
-            cost[t] = sol.cost
-            last_sol = sol
-            etm = advance(etm, True, d_next, xhat[t])
-        else:
-            xhat[t] = etm.pred  # f(xhat[t-1], u[t-1], 0), computed by extend
-            delta[t] = t - etm.eps
-            d[t + 1] = d[t]
-            etm = advance(etm, False)
+            gamma[k, t] = 1
+            d[k, t + 1] = d_next
+            iters[k, t] = sol.iterations
+            converged[k, t] = sol.converged
+            cost[k, t] = sol.cost
+            last_sol[k] = sol
+            etm[k] = advance(etm[k], True, d_next, xhat[k, t])
 
-    err = np.linalg.norm(x - xhat, axis=1)
-    if constants is None:
-        bound = np.full(T + 1, np.nan)
-    else:
-        bound = rges_bound(constants, err[0], np.linalg.norm(w[:T], axis=1))
-
-    return SimTrace(x=x, xhat=xhat, y=y, w=w, gamma=gamma, delta=delta,
-                    eps=eps, d=d, err_norm=err, bound=bound,
-                    solver_iters=iters, solver_converged=converged,
-                    cost=cost, tx_count=tx, trigger_lhs=trig_lhs,
-                    trigger_threshold=trig_threshold)
+    err = np.linalg.norm(x - xhat, axis=2)
+    traces = []
+    for k, cfg in enumerate(cfgs):
+        try:
+            constants = rges_constants(cert, cfg.alpha, M)
+            bound = rges_bound(constants, err[k, 0], np.linalg.norm(w[k, :T], axis=1))
+        except CertificateError:
+            bound = np.full(T + 1, np.nan)
+        traces.append(SimTrace(x=x[k], xhat=xhat[k], y=y[k], w=w[k], gamma=gamma[k],
+                               delta=delta[k], eps=eps[k], d=d[k], err_norm=err[k],
+                               bound=bound, solver_iters=iters[k],
+                               solver_converged=converged[k], cost=cost[k],
+                               tx_count=tx[k], trigger_lhs=trig_lhs[k],
+                               trigger_threshold=trig_threshold[k]))
+    return traces
 
 
 @dataclass(frozen=True)
@@ -261,11 +294,10 @@ def run_alpha_sweep(cfg: SimConfig, alphas: Sequence[float],
         raise ConfigurationError("alpha and seed lists must be nonempty")
     rows = []
     for alpha in alphas:
-        for seed in seeds:
-            run_cfg = replace(cfg, alpha=float(alpha), seed=int(seed))
-            trace = run_closed_loop(run_cfg)
+        batch = [replace(cfg, alpha=float(alpha), seed=int(seed)) for seed in seeds]
+        for run_cfg, trace in zip(batch, run_closed_loop_batch(batch)):
             rmse = np.sqrt(np.mean((trace.x - trace.xhat) ** 2, axis=0))
-            rows.append(SweepRow(alpha=float(alpha), seed=int(seed),
+            rows.append(SweepRow(alpha=run_cfg.alpha, seed=run_cfg.seed,
                                  gamma=trace.gamma.copy(),
                                  event_fraction=trace.event_fraction,
                                  rmse=rmse))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,13 +168,14 @@ def _boxed_step(A: Array, g: Array, z: Array, lo: Array, hi: Array) -> Array:
     their bound, repeat until the free part stays feasible."""
     nz = len(z)
     fixed = np.zeros(nz, dtype=bool)
-    dz = np.zeros(nz)
-    for _ in range(12):
+    dz = np.linalg.solve(A, -g)  # first pass: nothing fixed, so no gathers
+    for i in range(12):
         free = ~fixed
-        if not free.any():
-            break
-        rhs = -(g[free] + A[np.ix_(free, fixed)] @ dz[fixed])
-        dz[free] = np.linalg.solve(A[np.ix_(free, free)], rhs)
+        if i:
+            if not free.any():
+                break
+            rhs = -(g[free] + A[np.ix_(free, fixed)] @ dz[fixed])
+            dz[free] = np.linalg.solve(A[np.ix_(free, free)], rhs)
         z_new = z + dz
         below = (z_new < lo) & free
         above = (z_new > hi) & free
@@ -196,6 +197,70 @@ def solve_nlp(window: MheWindow, model: SystemModel, cert: IossCertificate,
     decision variables are handled by projecting each trial step. A
     non-convergent solve returns the best iterate with converged=False.
     """
+    return solve_nlp_batch([(window, cert, alpha, warm_start)], model)[0]
+
+
+def solve_nlp_batch(problems: Sequence[Tuple[MheWindow, IossCertificate, float,
+                                             Optional[Tuple[Array, Array]]]],
+                    model: SystemModel) -> List[MheSolution]:
+    """solve_nlp on each (window, cert, alpha, warm_start), with shared rollouts.
+
+    The solves advance together: each round, the pending rollouts of all
+    solves whose windows have the same inputs are stacked into one batched
+    rollout. Each solve's LM arithmetic is its own, and the model computes
+    each batch row as the unbatched call, so every solution equals the
+    solve_nlp one bit for bit.
+    """
+    solvers = [_lm(window, model, cert, alpha, warm)
+               for window, cert, alpha, warm in problems]
+    solutions: List[Optional[MheSolution]] = [None] * len(solvers)
+    pending = {}
+
+    def send(i, reply):
+        try:
+            pending[i] = solvers[i].send(reply)
+        except StopIteration as done:
+            solutions[i] = done.value
+
+    for i in range(len(solvers)):
+        send(i, None)
+    n, q = model.n, model.q
+    while pending:
+        groups = {}
+        for i in pending:
+            inputs = problems[i][0].inputs
+            groups.setdefault((len(inputs), inputs.tobytes()), []).append(i)
+        requests, pending = pending, {}
+        for members in groups.values():
+            inputs = problems[members[0]][0].inputs
+            nz = n + len(inputs) * q
+            rows = nz + 1  # z and its nz perturbations
+            Z = np.empty((len(members) * rows, nz))
+            starts = range(0, len(Z), rows)
+            for a, i in zip(starts, members):
+                z, h_fd = requests[i]
+                Z[a] = z
+                Z[a + 1:a + rows] = np.diag(h_fd)
+                Z[a + 1:a + rows] += z  # the rows of z + np.diag(h_fd), summed in place
+            x0 = Z[:, :n]
+            w = Z[:, n:].reshape(len(Z), len(inputs), q)
+            states, outputs = rollout(model, x0, inputs, w)
+            replies = [(x0[a:a + rows], w[a:a + rows], states[a].copy(),
+                        outputs[a:a + rows]) for a in starts]
+            # Only the replies hold this round's arrays, and each solve drops
+            # its reply before it asks for the next rollout.
+            del Z, x0, w, states, outputs
+            for i in members:
+                send(i, replies.pop(0))
+    return solutions
+
+
+def _lm(window: MheWindow, model: SystemModel, cert: IossCertificate,
+        alpha: float, warm_start: Optional[Tuple[Array, Array]]):
+    """The LM solve of solve_nlp as a generator. It yields each rollout it
+    needs as (z, h_fd), is sent (x0, w, x_seq, outputs): x0, w and outputs
+    of the nz+1 rows z, z + h_i e_i, the states of row 0, and returns the
+    MheSolution."""
     Mt, n, q = window.horizon, model.n, model.q
     nz = n + Mt * q
     residuals = cost_residuals(window, cert, alpha)
@@ -209,12 +274,9 @@ def solve_nlp(window: MheWindow, model: SystemModel, cert: IossCertificate,
         one batched rollout, the steps h, and copies of z's states and
         outputs."""
         h_fd = 1e-7 * (1.0 + np.abs(z))
-        Z = np.vstack([z, z + np.diag(h_fd)])
-        x0 = Z[:, :n]
-        w = Z[:, n:].reshape(nz + 1, Mt, q)
-        states, outputs = rollout(model, x0, window.inputs, w)
+        x0, w, x_seq, outputs = yield z, h_fd
         R = residuals(x0, w, outputs)
-        return float(R[0] @ R[0]), R, h_fd, states[0].copy(), outputs[0].copy()
+        return float(R[0] @ R[0]), R, h_fd, x_seq, outputs[0].copy()
 
     if warm_start is not None:
         z = np.concatenate([np.asarray(warm_start[0], float).ravel(),
@@ -225,7 +287,7 @@ def solve_nlp(window: MheWindow, model: SystemModel, cert: IossCertificate,
         z = np.concatenate([window.prior, np.zeros(Mt * q)])
     z = np.clip(z, lo, hi)
 
-    cost, R, h_fd, x_seq, y_seq = evaluate(z)
+    cost, R, h_fd, x_seq, y_seq = yield from evaluate(z)
     lam = LM_INITIAL_DAMPING
     converged = False
     iterations = 0
@@ -261,7 +323,7 @@ def solve_nlp(window: MheWindow, model: SystemModel, cert: IossCertificate,
                 continue
             z_new[active] = z[active]
             trial = None  # release a rejected trial's batch before the next one
-            trial = evaluate(z_new)
+            trial = yield from evaluate(z_new)
             if trial[0] <= cost:
                 break
             lam *= LM_DAMPING_INCREASE

@@ -52,7 +52,10 @@ class SystemModel:
     dimensions (inputs of shape (..., dim)). Each batch row of a batched
     call must equal the unbatched call on that row, bit for bit: the MHE
     solver evaluates a trial point and its finite-difference perturbations
-    in one batched rollout and reads the trial point from row 0.
+    in one batched rollout and reads the trial point from row 0, and the
+    runs of a lockstep batch (run_closed_loop_batch) share the model calls
+    of their plants and solves, so each of its traces equals the separate
+    run's.
     """
 
     n: int

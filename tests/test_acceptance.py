@@ -14,7 +14,7 @@ import pytest
 
 from etmhe import (Box, DisturbanceBounds, IossCertificate, check_dissipation,
                    min_horizon, rges_constants, run_closed_loop,
-                   verify_proposition1)
+                   run_closed_loop_batch, verify_proposition1)
 from etmhe.harness import POST_TRANSIENT_START, check_rges, performance_metrics
 from etmhe.certificate import max_generalized_eigenvalue
 
@@ -28,13 +28,14 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def seed_runs(bench_cfg):
-    """(event-triggered, always-solve) trace pairs for seeds 0..9."""
+    """(event-triggered, always-solve) trace pairs for seeds 0..9, each
+    kind run as one lockstep batch."""
     start = time.perf_counter()
-    runs = {}
-    for seed in SEEDS:
-        cfg = dataclasses.replace(bench_cfg, seed=seed)
-        runs[seed] = (run_closed_loop(cfg),
-                      run_closed_loop(dataclasses.replace(cfg, alpha=0.0)))
+    et = run_closed_loop_batch([dataclasses.replace(bench_cfg, seed=seed)
+                                for seed in SEEDS])
+    std = run_closed_loop_batch([dataclasses.replace(bench_cfg, seed=seed, alpha=0.0)
+                                 for seed in SEEDS])
+    runs = dict(zip(SEEDS, zip(et, std)))
     return runs, time.perf_counter() - start
 
 

@@ -8,8 +8,8 @@ import pytest
 
 from etmhe import (Box, ConfigurationError, DisturbanceBounds, IossCertificate,
                    SimConfig, SystemModel, assemble_event_solution, harness,
-                   output, run_alpha_sweep, run_closed_loop, step, trigger,
-                   verify_proposition1)
+                   output, run_alpha_sweep, run_closed_loop,
+                   run_closed_loop_batch, step, trigger, verify_proposition1)
 from etmhe.harness import POST_TRANSIENT_START, check_rges, performance_metrics
 from etmhe.certificate import rges_constants
 from etmhe.cli import trace_columns, write_trace_csv
@@ -195,15 +195,20 @@ def linear_model_3x2():
                        w_set=Box.unbounded(5))
 
 
+def linear_3x2_cfg():
+    cert = IossCertificate(P1=np.eye(3), P2=np.eye(3),
+                           Q=np.diag([2.0, 2.0, 2.0, 1.0, 1.0]), R=np.eye(2),
+                           eta=0.5)
+    return SimConfig(model=linear_model_3x2(), cert=cert, M=4, alpha=5.0,
+                     T=30, x0=np.array([1.0, -1.0, 2.0]), xhat0=np.zeros(3),
+                     w_bounds=DisturbanceBounds(np.array([0.01, 0.01, 0.01,
+                                                          0.05, 0.05])))
+
+
 class TestOtherShape:
     def test_closed_loop_n3_p2_m1(self, tmp_path):
-        cert = IossCertificate(P1=np.eye(3), P2=np.eye(3),
-                               Q=np.diag([2.0, 2.0, 2.0, 1.0, 1.0]), R=np.eye(2),
-                               eta=0.5)
-        cfg = SimConfig(model=linear_model_3x2(), cert=cert, M=4, alpha=5.0,
-                        T=30, x0=np.array([1.0, -1.0, 2.0]), xhat0=np.zeros(3),
-                        w_bounds=DisturbanceBounds(np.array([0.01, 0.01, 0.01,
-                                                             0.05, 0.05])))
+        cfg = linear_3x2_cfg()
+        cert = cfg.cert
         tr = run_closed_loop(cfg)
         T = cfg.T
         assert tr.x.shape == tr.xhat.shape == (T + 1, 3)
@@ -225,6 +230,47 @@ class TestOtherShape:
         lines = out.read_text().splitlines()
         assert lines[0] == ",".join(trace_columns(3, 2))
         assert len(lines) == T + 2
+
+
+class TestLockstepBatch:
+    @staticmethod
+    def assert_equal_to_serial(cfgs):
+        batch = run_closed_loop_batch(cfgs)
+        assert len(batch) == len(cfgs)
+        for cfg, trace in zip(cfgs, batch):
+            serial = run_closed_loop(cfg)
+            for field in dataclasses.fields(trace):
+                assert np.array_equal(getattr(trace, field.name),
+                                      getattr(serial, field.name), equal_nan=True), \
+                    (cfg.alpha, cfg.seed, field.name)
+        return batch
+
+    def test_mixed_alphas_match_serial(self, short_cfg):
+        cfgs = [dataclasses.replace(short_cfg, alpha=alpha, seed=seed)
+                for alpha in (0.0, 5.0, 20.0) for seed in (0, 1)]
+        batch = self.assert_equal_to_serial(cfgs)
+        # Apart from the two alpha = 0 runs, which fire at every step, the
+        # runs fire at different steps.
+        assert len({tuple(tr.gamma) for tr in batch}) == len(cfgs) - 1
+
+    def test_n3_p2_m1_model_matches_serial(self):
+        cfg = linear_3x2_cfg()
+        self.assert_equal_to_serial([dataclasses.replace(cfg, alpha=alpha, seed=seed)
+                                     for alpha in (0.0, 5.0) for seed in (0, 1)])
+
+    @pytest.mark.parametrize("field,value", [("M", 20), ("T", 41),
+                                             ("model", None), ("cert", None)])
+    def test_runs_must_share_model_cert_horizon_and_length(self, short_cfg,
+                                                          field, value):
+        if value is None:  # an equal copy is not the same object
+            value = dataclasses.replace(getattr(short_cfg, field))
+        other = dataclasses.replace(short_cfg, **{field: value})
+        with pytest.raises(ConfigurationError, match="must share"):
+            run_closed_loop_batch([short_cfg, other])
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one run"):
+            run_closed_loop_batch([])
 
 
 class TestOracleEquivalence:

@@ -9,7 +9,8 @@ import pytest
 from etmhe import (Box, ConfigurationError, IossCertificate, MheWindow,
                    SystemModel, assemble_event_solution, cost_residuals,
                    eval_cost, open_loop_predict, rollout, run_closed_loop,
-                   solve_nlp, output, sample_disturbance, step)
+                   run_closed_loop_batch, solve_nlp, solve_nlp_batch, output,
+                   sample_disturbance, step)
 from etmhe import mhe
 from etmhe.model import DisturbanceBounds
 
@@ -132,6 +133,17 @@ class TestMheConfig:
             run_closed_loop(cfg)
         assert len(caught) == 1
         assert caught[0].filename == __file__
+        # A batch warns once, however many runs it holds.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_closed_loop_batch([cfg, dataclasses.replace(cfg, seed=1)])
+        assert len(caught) == 1
+        assert caught[0].filename == __file__
+
+    def test_short_horizon_in_batch_needs_every_run_to_allow_it(self, bench_cfg):
+        cfg = dataclasses.replace(bench_cfg, M=10, T=5, allow_short_horizon=True)
+        with pytest.raises(ConfigurationError, match="below stability minimum 15"):
+            run_closed_loop_batch([cfg, dataclasses.replace(cfg, allow_short_horizon=False)])
 
     @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
     def test_alpha_validated(self, bench_cfg, alpha):
@@ -347,6 +359,44 @@ class TestSolver:
         # The initial point plus one batched rollout per trial: no separate
         # Jacobian or final-trajectory rollouts.
         assert calls["rollout"] == calls["step"] + 1
+
+    def test_batch_equals_one_by_one(self, bench_model, bench_cert):
+        # Cold and warm starts, two alphas, and horizons 10 and 7: equal
+        # horizons share rollouts, different ones cannot.
+        problems = []
+        for t, seed in ((10, 5), (10, 6), (7, 7)):
+            window, xs, ws = bench_window(bench_model, bench_cert, t=t, seed=seed)
+            problems += [(window, bench_cert, 5.0, None),
+                         (window, bench_cert, 0.0, (xs[0], ws))]
+        batch = solve_nlp_batch(problems, bench_model)
+        assert len(batch) == len(problems)
+        for (window, cert, alpha, warm), sol in zip(problems, batch):
+            one = solve_nlp(window, bench_model, cert, alpha, warm_start=warm)
+            for field in dataclasses.fields(sol):
+                assert np.array_equal(getattr(sol, field.name), getattr(one, field.name))
+        assert solve_nlp_batch([], bench_model) == []
+
+    def test_batch_shares_rollouts(self, bench_model, bench_cert, monkeypatch):
+        windows = [bench_window(bench_model, bench_cert, seed=seed)[0]
+                   for seed in (5, 6, 7)]
+        rows = []
+
+        def counting(model, x_init, *args):
+            rows.append(len(x_init))
+            return rollout(model, x_init, *args)
+
+        monkeypatch.setattr(mhe, "rollout", counting)
+        singles = []
+        for window in windows:
+            rows.clear()
+            solve_nlp(window, bench_model, bench_cert, 5.0)
+            singles.append((len(rows), sum(rows)))
+        rows.clear()
+        solve_nlp_batch([(w, bench_cert, 5.0, None) for w in windows], bench_model)
+        # One rollout per round while any solve runs, carrying every row of
+        # the separate solves.
+        assert len(rows) == max(calls for calls, _ in singles)
+        assert sum(rows) == sum(total for _, total in singles)
 
     def test_iteration_budget_respected(self, bench_model, bench_cert, monkeypatch):
         monkeypatch.setattr(mhe, "LM_MAX_ITERATIONS", 2)
