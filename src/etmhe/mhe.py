@@ -44,6 +44,8 @@ class MheWindow:
                                (self.prior, self.measurements, self.inputs))
         if meas.ndim != 2:
             raise ConfigurationError("measurements must be 2-D, one row per step")
+        if inputs.ndim != 2:
+            raise ConfigurationError("inputs must be 2-D, one row per step")
         if not 0 <= self.delta <= len(inputs):
             raise ConfigurationError("delta must lie between 0 and the horizon")
         if len(meas) != len(inputs) - self.delta:
@@ -82,24 +84,32 @@ def rollout(model: SystemModel, x_init: Array, u_seq: Array,
             w_seq: Array) -> Tuple[Array, Array]:
     """Forward-simulate states and outputs from x_init; supports batches.
 
-    Returns (states of length len(w_seq)+1, outputs of length len(w_seq)).
+    x_init is batch + (n,) and w_seq batch + (steps, q); u_seq is either
+    (steps, m), shared by every row, or batch + (steps, m), one input
+    sequence per row. Returns (states of length steps+1, outputs of length
+    steps), batch dimensions first.
     """
     x_init = np.asarray(x_init, dtype=float)
     u_seq = np.asarray(u_seq, dtype=float)
     w_seq = np.asarray(w_seq, dtype=float)
     steps = w_seq.shape[-2] if w_seq.ndim >= 2 else 0
-    if len(u_seq) != steps:
+    if u_seq.ndim < 2 or u_seq.shape[-2] != steps:
         raise ConfigurationError("input/disturbance length mismatch")
     batch = x_init.shape[:-1]
-    states = np.empty(batch + (steps + 1, model.n))
-    outputs = np.empty(batch + (steps, model.p))
-    states[..., 0, :] = x_init
+
+    def time_major(a):
+        # Time first; a sequence shared by the batch broadcasts over it.
+        a = np.moveaxis(a, -2, 0)
+        return a.reshape(a.shape[:1] + (1,) * (len(batch) + 2 - a.ndim) + a.shape[1:])
+
+    u, w = time_major(u_seq), time_major(w_seq)
+    states = np.empty((steps + 1,) + batch + (model.n,))
+    states[0] = x_init
     for k in range(steps):
-        x = states[..., k, :]
-        w = w_seq[..., k, :]
-        outputs[..., k, :] = model.h(x, u_seq[k], w)
-        states[..., k + 1, :] = model.f(x, u_seq[k], w)
-    return states, outputs
+        states[k + 1] = model.f(states[k], u[k], w[k])
+    # h does not feed back, so one call covers every step.
+    outputs = model.h(states[:-1], u, w)
+    return np.moveaxis(states, 0, -2), np.moveaxis(outputs, 0, -2)
 
 
 def open_loop_predict(model: SystemModel, x_prev: Array, u_prev: Array) -> Array:
@@ -206,10 +216,11 @@ def solve_nlp_batch(problems: Sequence[Tuple[MheWindow, IossCertificate, float,
     """solve_nlp on each (window, cert, alpha, warm_start), with shared rollouts.
 
     The solves advance together: each round, the pending rollouts of all
-    solves whose windows have the same inputs are stacked into one batched
-    rollout. Each solve's LM arithmetic is its own, and the model computes
-    each batch row as the unbatched call, so every solution equals the
-    solve_nlp one bit for bit.
+    solves are stacked into one batched rollout, each padded to the longest
+    horizon with zero disturbances and inputs; a solve reads back its own
+    rows and its own steps. Each solve's LM arithmetic is its own, and the
+    model computes each batch row as the unbatched call, so every solution
+    equals the solve_nlp one bit for bit.
     """
     solvers = [_lm(window, model, cert, alpha, warm)
                for window, cert, alpha, warm in problems]
@@ -226,32 +237,31 @@ def solve_nlp_batch(problems: Sequence[Tuple[MheWindow, IossCertificate, float,
         send(i, None)
     n, q = model.n, model.q
     while pending:
-        groups = {}
-        for i in pending:
-            inputs = problems[i][0].inputs
-            groups.setdefault((len(inputs), inputs.tobytes()), []).append(i)
         requests, pending = pending, {}
-        for members in groups.values():
-            inputs = problems[members[0]][0].inputs
-            nz = n + len(inputs) * q
-            rows = nz + 1  # z and its nz perturbations
-            Z = np.empty((len(members) * rows, nz))
-            starts = range(0, len(Z), rows)
-            for a, i in zip(starts, members):
-                z, h_fd = requests[i]
-                Z[a] = z
-                Z[a + 1:a + rows] = np.diag(h_fd)
-                Z[a + 1:a + rows] += z  # the rows of z + np.diag(h_fd), summed in place
-            x0 = Z[:, :n]
-            w = Z[:, n:].reshape(len(Z), len(inputs), q)
-            states, outputs = rollout(model, x0, inputs, w)
-            replies = [(x0[a:a + rows], w[a:a + rows], states[a].copy(),
-                        outputs[a:a + rows]) for a in starts]
-            # Only the replies hold this round's arrays, and each solve drops
-            # its reply before it asks for the next rollout.
-            del Z, x0, w, states, outputs
-            for i in members:
-                send(i, replies.pop(0))
+        members = list(requests)
+        lengths = [problems[i][0].horizon for i in members]
+        sizes = [n + L * q + 1 for L in lengths]  # z and its nz perturbations
+        starts = np.cumsum([0] + sizes[:-1]).tolist()
+        L_max = max(lengths)
+        Z = np.zeros((sum(sizes), n + L_max * q))
+        U = np.zeros((len(Z), L_max, model.m))
+        for i, a, rows, L in zip(members, starts, sizes, lengths):
+            z, h_fd = requests[i]
+            block = Z[a:a + rows, :rows - 1]
+            block[:] = z
+            np.fill_diagonal(block[1:], z + h_fd)
+            U[a:a + rows, :L] = problems[i][0].inputs
+        x0 = Z[:, :n]
+        w = Z[:, n:].reshape(len(Z), L_max, q)
+        states, outputs = rollout(model, x0, U, w)
+        replies = [(x0[a:a + rows], w[a:a + rows, :L], states[a, :L + 1].copy(),
+                    outputs[a:a + rows, :L])
+                   for a, rows, L in zip(starts, sizes, lengths)]
+        # Only the replies hold this round's arrays, and each solve drops
+        # its reply before it asks for the next rollout.
+        del Z, U, x0, w, states, outputs
+        for i in members:
+            send(i, replies.pop(0))
     return solutions
 
 

@@ -55,7 +55,10 @@ class SystemModel:
     in one batched rollout and reads the trial point from row 0, and the
     runs of a lockstep batch (run_closed_loop_batch) share the model calls
     of their plants and solves, so each of its traces equals the separate
-    run's.
+    run's. rollout calls h once for all steps, with time as an extra
+    leading batch dimension, and the solves of a batch are padded to the
+    longest horizon with zero w and u: the padded steps are computed and
+    discarded.
     """
 
     n: int

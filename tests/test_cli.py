@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from etmhe import cli
 from etmhe.cli import (ConfigFileError, main, parse_config, trace_columns,
                        write_trace_csv)
-from etmhe.harness import SimConfig, run_closed_loop
+from etmhe.harness import EquivalenceReport, SimConfig, run_closed_loop
 from etmhe.model import BATCH_REACTOR_BOUNDS, Box, DisturbanceBounds, batch_reactor
 
 from conftest import CONFIG_PATH
@@ -230,6 +231,28 @@ class TestCommands:
                          "--horizon", "5", "--steps", "20"])
         assert code == 0
         assert "discrepancy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("disc,cost,code", [
+        (1e-6, 1e-9, 0), (2e-6, 0.0, 3), (0.0, 2e-9, 3),
+        (np.nan, 0.0, 3), (0.0, np.nan, 3)])
+    def test_verify_prop1_exit_code(self, monkeypatch, capsys, disc, cost, code):
+        # Both the discrepancy and the cost error are gated, and NaN fails.
+        monkeypatch.setattr(cli, "verify_proposition1",
+                            lambda cfg: EquivalenceReport(disc, cost, cfg.T, 1))
+        assert main(["verify-prop1", "--config", str(CONFIG_PATH)]) == code
+
+    def test_check_rges_nan_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        real = cli.run_closed_loop
+
+        def nan_at_5(cfg):
+            trace = real(cfg)
+            trace.err_norm[5] = np.nan
+            return trace
+
+        monkeypatch.setattr(cli, "run_closed_loop", nan_at_5)
+        cfg = write_cfg(tmp_path, GOOD.replace("T = 100", "T = 25"))
+        assert main(["check-rges", "--config", str(cfg)]) == 3
+        assert "violations 1," in capsys.readouterr().out
 
     def test_check_ioss_runs(self, capsys):
         code = main(["check-ioss", "--config", str(CONFIG_PATH),

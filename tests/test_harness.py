@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from etmhe import (Box, ConfigurationError, DisturbanceBounds, IossCertificate,
-                   SimConfig, SystemModel, assemble_event_solution, harness,
-                   output, run_alpha_sweep, run_closed_loop,
-                   run_closed_loop_batch, step, trigger, verify_proposition1)
+                   MheWindow, SimConfig, SystemModel, assemble_event_solution,
+                   harness, output, run_alpha_sweep, run_closed_loop,
+                   run_closed_loop_batch, solve_nlp, step, trigger,
+                   verify_proposition1)
 from etmhe.harness import POST_TRANSIENT_START, check_rges, performance_metrics
 from etmhe.certificate import rges_constants
 from etmhe.cli import trace_columns, write_trace_csv
@@ -285,6 +286,62 @@ class TestOracleEquivalence:
         assert report.n_events >= 1
 
 
+def serial_proposition1(cfg):
+    """verify_proposition1 as one solve_nlp per step, in t order."""
+    trace = run_closed_loop(cfg)
+    u = np.zeros((cfg.T + 1, cfg.model.m))
+    xhat, cost = trace.xhat.copy(), np.full(cfg.T + 1, np.nan)
+    max_disc = max_cost_err = 0.0
+    for t in range(1, cfg.T + 1):
+        dt = int(trace.delta[t])
+        start = t - min(t, cfg.M + dt)
+        window = MheWindow(delta=dt, prior=xhat[start],
+                           measurements=trace.y[start:t - dt], inputs=u[start:t])
+        sol = solve_nlp(window, cfg.model, cfg.cert, cfg.alpha)
+        xhat[t], cost[t] = sol.estimate, sol.cost
+        max_disc = max(max_disc, float(np.max(np.abs(xhat[t] - trace.xhat[t]))))
+        if dt > 0:
+            ref = cfg.cert.eta ** dt * cost[int(trace.eps[t])]
+            max_cost_err = max(max_cost_err, abs(sol.cost - ref) / max(abs(ref), 1e-30))
+    return max_disc, max_cost_err, cfg.T, trace.n_events
+
+
+class TestChunkedOracle:
+    @pytest.mark.parametrize("M", [1, 2, 5])
+    def test_equals_serial_reference(self, bench_cfg, M):
+        # At M = 1 an event step's window starts at the step before it, so a
+        # chunk of two steps would read a prior not yet solved.
+        cfg = dataclasses.replace(bench_cfg, M=M, T=40, allow_short_horizon=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            report = verify_proposition1(cfg)
+            expected = serial_proposition1(cfg)
+        assert np.array_equal(dataclasses.astuple(report), expected)
+
+    @pytest.mark.parametrize("field", ["xhat", "cost"])
+    def test_nan_is_reported(self, short_cfg, monkeypatch, field):
+        # The builtin max(0.0, nan) is 0.0; the report must not drop a NaN.
+        real_loop, real_batch = harness.run_closed_loop, harness.solve_nlp_batch
+
+        def nan_trace(cfg):
+            trace = real_loop(cfg)
+            trace.xhat[7] = np.nan
+            return trace
+
+        def nan_cost(problems, model):
+            return [dataclasses.replace(sol, cost=np.nan)
+                    for sol in real_batch(problems, model)]
+
+        if field == "xhat":
+            monkeypatch.setattr(harness, "run_closed_loop", nan_trace)
+        else:
+            monkeypatch.setattr(harness, "solve_nlp_batch", nan_cost)
+        report = verify_proposition1(short_cfg)
+        value = (report.max_discrepancy if field == "xhat"
+                 else report.max_cost_rel_err)
+        assert np.isnan(value)
+
+
 class TestSweep:
     def test_alpha_monotonicity_tendency(self, bench_cfg):
         cfg = dataclasses.replace(bench_cfg, T=40)
@@ -329,6 +386,15 @@ class TestBoundAndMetrics:
         assert report.n_checked == short_trace.T + 1
         assert report.violation_times == [t_silent]
         assert report.worst_margin > 0
+
+    def test_nan_error_is_violation(self, bench_cfg, short_trace):
+        constants = rges_constants(bench_cfg.cert, bench_cfg.alpha, bench_cfg.M)
+        t = int(np.flatnonzero(short_trace.gamma == 0)[0])
+        tr = dataclasses.replace(short_trace, err_norm=short_trace.err_norm.copy())
+        tr.err_norm[t] = np.nan
+        report = check_rges(tr, constants)
+        assert report.n_violations == 1 and report.violation_times == [t]
+        assert np.isnan(report.worst_margin)
 
     def test_metrics_require_shared_realization(self, bench_cfg, short_trace):
         other = run_closed_loop(dataclasses.replace(bench_cfg, T=40, seed=1))

@@ -14,6 +14,8 @@ from etmhe import (Box, ConfigurationError, IossCertificate, MheWindow,
 from etmhe import mhe
 from etmhe.model import DisturbanceBounds
 
+from test_harness import linear_model_3x2
+
 
 def scalar_linear_model(a=0.9):
     """x+ = a x + w1, y = x + w2, everything unconstrained."""
@@ -74,6 +76,11 @@ class TestWindow:
         with pytest.raises(ConfigurationError):
             MheWindow(delta=0, prior=prior,
                       measurements=np.zeros((3, 1)), inputs=np.zeros((2, 0)))
+
+    def test_one_dimensional_inputs_rejected(self):
+        with pytest.raises(ConfigurationError, match="inputs must be 2-D"):
+            MheWindow(delta=0, prior=np.zeros(2), measurements=np.zeros((3, 1)),
+                      inputs=np.zeros(3))
 
     def test_one_dimensional_measurements_rejected(self):
         with pytest.raises(ConfigurationError, match="2-D"):
@@ -193,6 +200,24 @@ class TestRollout:
             s_i, o_i = rollout(bench_model, X0[i], np.zeros((4, 0)), W[i])
             np.testing.assert_allclose(states[i], s_i)
             np.testing.assert_allclose(outputs[i], o_i)
+
+    def test_per_row_inputs(self):
+        model = linear_model_3x2()  # m = 1, and f reads u
+        rng = np.random.default_rng(13)
+        X0 = rng.uniform(-1.0, 1.0, (4, 3))
+        U = rng.uniform(-1.0, 1.0, (4, 6, 1))
+        W = rng.uniform(-0.1, 0.1, (4, 6, 5))
+        states, outputs = rollout(model, X0, U, W)
+        assert states.shape == (4, 7, 3) and outputs.shape == (4, 6, 2)
+        for i in range(4):
+            s_i, o_i = rollout(model, X0[i], U[i], W[i])
+            assert np.array_equal(states[i], s_i)
+            assert np.array_equal(outputs[i], o_i)
+        # A sequence shared by the batch is the same as a copy on each row.
+        shared = rollout(model, X0, U[0], W)
+        tiled = rollout(model, X0, np.broadcast_to(U[0], U.shape), W)
+        for a, b in zip(shared, tiled):
+            assert np.array_equal(a, b)
 
     def test_open_loop_predict(self, bench_model):
         x = np.array([3.0, 1.0])
@@ -361,8 +386,7 @@ class TestSolver:
         assert calls["rollout"] == calls["step"] + 1
 
     def test_batch_equals_one_by_one(self, bench_model, bench_cert):
-        # Cold and warm starts, two alphas, and horizons 10 and 7: equal
-        # horizons share rollouts, different ones cannot.
+        # Cold and warm starts, two alphas, and horizons 10 and 7.
         problems = []
         for t, seed in ((10, 5), (10, 6), (7, 7)):
             window, xs, ws = bench_window(bench_model, bench_cert, t=t, seed=seed)
@@ -397,6 +421,36 @@ class TestSolver:
         # the separate solves.
         assert len(rows) == max(calls for calls, _ in singles)
         assert sum(rows) == sum(total for _, total in singles)
+
+    def test_batch_of_mixed_horizons(self, bench_model, bench_cert, monkeypatch):
+        # Cold starts on horizons 7-12, some with unmeasured last steps: the
+        # shorter windows ride in the longest one's rollouts, zero-padded.
+        problems = []
+        for L, delta in zip(range(7, 13), (0, 2, 0, 1, 3, 0)):
+            window, _, _ = bench_window(bench_model, bench_cert, t=L, seed=L)
+            window = MheWindow(delta=delta, prior=window.prior,
+                               measurements=window.measurements[:L - delta],
+                               inputs=window.inputs)
+            problems.append((window, bench_cert, 5.0, None))
+        rows = []
+
+        def counting(model, x_init, *args):
+            rows.append(len(x_init))
+            return rollout(model, x_init, *args)
+
+        monkeypatch.setattr(mhe, "rollout", counting)
+        singles, calls = [], []
+        for window, cert, alpha, _ in problems:
+            rows.clear()
+            singles.append(solve_nlp(window, bench_model, cert, alpha))
+            calls.append((len(rows), sum(rows)))
+        rows.clear()
+        batch = solve_nlp_batch(problems, bench_model)
+        for sol, one in zip(batch, singles):
+            for field in dataclasses.fields(sol):
+                assert np.array_equal(getattr(sol, field.name), getattr(one, field.name))
+        assert len(rows) == max(n for n, _ in calls)
+        assert sum(rows) == sum(total for _, total in calls)
 
     def test_iteration_budget_respected(self, bench_model, bench_cert, monkeypatch):
         monkeypatch.setattr(mhe, "LM_MAX_ITERATIONS", 2)
