@@ -12,7 +12,7 @@ from .mhe import (MheSolution, MheWindow, assemble_event_solution,
                   cost_residuals, eval_cost, open_loop_predict, rollout,
                   solve_nlp, solve_nlp_batch)
 from .model import (Box, ConfigurationError, DisturbanceBounds, SystemModel,
-                    batch_reactor, output, sample_disturbance, step)
+                    batch_reactor, sample_disturbance)
 from .trigger import (EtmState, TriggerError, advance, compute_d, evaluate_trigger,
                       extend)
 

@@ -116,12 +116,12 @@ def min_horizon(cert: IossCertificate) -> int:
 
 @dataclass(frozen=True)
 class RgesConstants:
-    """Gains and decay rates of the exponential estimation-error bound."""
+    """Gains and per-step decay rate lam = sqrt(rho) of the exponential
+    estimation-error bound."""
 
     C_x: float
     C_w: float
-    lam_x: float
-    lam_w: float
+    lam: float
     rho: float
 
 
@@ -141,21 +141,20 @@ def rges_constants(cert: IossCertificate, alpha: float, M: int) -> RgesConstants
     q_max = np.linalg.eigvalsh(cert.Q)[-1]
     C_x = 2.0 * math.sqrt(p2_eigs[-1] / p1_eigs[0])
     C_w = math.sqrt((2.0 * alpha + 4.0) * q_max / p1_eigs[0])
-    lam_xw = math.sqrt(rho)
-    return RgesConstants(C_x=C_x, C_w=C_w, lam_x=lam_xw, lam_w=lam_xw, rho=rho)
+    return RgesConstants(C_x=C_x, C_w=C_w, lam=math.sqrt(rho), rho=rho)
 
 
 def rges_bound(constants: RgesConstants, e0_norm: float,
                w_norms: Sequence[float]) -> Array:
     """The exponential error bound b_0..b_N for N = len(w_norms), in one pass.
 
-    b_t = C_x*e0*lam_x^t + s_t, where s_0 = 0 and
-    s_t = lam_w*s_{t-1} + C_w*w_norms[t-1].
+    b_t = C_x*e0*lam^t + s_t, where s_0 = 0 and
+    s_t = lam*s_{t-1} + C_w*w_norms[t-1].
     """
-    bound = constants.C_x * e0_norm * constants.lam_x ** np.arange(len(w_norms) + 1)
+    bound = constants.C_x * e0_norm * constants.lam ** np.arange(len(w_norms) + 1)
     w_part = 0.0
     for t, w in enumerate(w_norms, start=1):
-        w_part = constants.lam_w * w_part + constants.C_w * w
+        w_part = constants.lam * w_part + constants.C_w * w
         bound[t] += w_part
     return bound
 

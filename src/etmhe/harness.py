@@ -52,6 +52,14 @@ class SimConfig:
             raise ConfigurationError("horizon must be at least 1")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigurationError("alpha must be finite and nonnegative")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        # P2 has the shape of P1 (IossCertificate checks that).
+        for name, dim in (("P1", self.model.n), ("Q", self.model.q), ("R", self.model.p)):
+            rows, cols = getattr(self.cert, name).shape
+            if (rows, cols) != (dim, dim):
+                raise ConfigurationError(f"certificate {name} is {rows}x{cols}, "
+                                         f"the model needs {dim}x{dim}")
         if self.w_bounds.bounds.shape != (self.model.q,):
             raise ConfigurationError("w_bounds has wrong dimension")
         x0 = np.asarray(self.x0, dtype=float)
@@ -300,7 +308,6 @@ class SweepRow:
     seed: int
     gamma: Array
     event_fraction: float
-    rmse: Array
 
 
 def run_alpha_sweep(cfg: SimConfig, alphas: Sequence[float],
@@ -316,11 +323,9 @@ def run_alpha_sweep(cfg: SimConfig, alphas: Sequence[float],
     for alpha in alphas:
         batch = [replace(cfg, alpha=float(alpha), seed=int(seed)) for seed in seeds]
         for run_cfg, trace in zip(batch, run_closed_loop_batch(batch)):
-            rmse = np.sqrt(np.mean((trace.x - trace.xhat) ** 2, axis=0))
             rows.append(SweepRow(alpha=run_cfg.alpha, seed=run_cfg.seed,
                                  gamma=trace.gamma.copy(),
-                                 event_fraction=trace.event_fraction,
-                                 rmse=rmse))
+                                 event_fraction=trace.event_fraction))
     return rows
 
 

@@ -81,29 +81,6 @@ class SystemModel:
             raise ConfigurationError("disturbance set must contain zero")
 
 
-def _check_dims(model: SystemModel, x: Array, u: Array, w: Array) -> None:
-    if x.shape[-1] != model.n:
-        raise ConfigurationError(f"state dimension {x.shape[-1]} != {model.n}")
-    if u.shape[-1] != model.m:
-        raise ConfigurationError(f"input dimension {u.shape[-1]} != {model.m}")
-    if w.shape[-1] != model.q:
-        raise ConfigurationError(f"disturbance dimension {w.shape[-1]} != {model.q}")
-
-
-def step(model: SystemModel, x: Array, u: Array, w: Array) -> Array:
-    """One transition x+ = f(x, u, w)."""
-    x, u, w = np.asarray(x, float), np.asarray(u, float), np.asarray(w, float)
-    _check_dims(model, x, u, w)
-    return model.f(x, u, w)
-
-
-def output(model: SystemModel, x: Array, u: Array, w: Array) -> Array:
-    """Measured output y = h(x, u, w)."""
-    x, u, w = np.asarray(x, float), np.asarray(u, float), np.asarray(w, float)
-    _check_dims(model, x, u, w)
-    return model.h(x, u, w)
-
-
 @dataclass(frozen=True)
 class DisturbanceBounds:
     """Absolute per-coordinate bounds |w_i| <= b_i for uniform sampling."""

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from etmhe import (Box, CertificateError, ConfigurationError, IossCertificate,
-                   check_dissipation, max_generalized_eigenvalue, min_horizon,
-                   rges_bound, rges_constants)
+                   RgesConstants, check_dissipation, max_generalized_eigenvalue,
+                   min_horizon, rges_bound, rges_constants)
 
 from conftest import ETA_BENCH, P_BENCH, Q_BENCH, R_BENCH
 
@@ -114,8 +114,7 @@ class TestRgesConstants:
         constants = rges_constants(bench_cert, alpha=5.0, M=30)
         assert constants.rho == pytest.approx(rho_ref, rel=1e-10)
         assert constants.rho == pytest.approx(0.953038, abs=1e-6)
-        assert constants.lam_x == pytest.approx(math.sqrt(constants.rho))
-        assert constants.lam_w == constants.lam_x
+        assert constants.lam == pytest.approx(math.sqrt(constants.rho))
         assert constants.rho < 1.0
 
     def test_gain_formulas(self, bench_cert):
@@ -147,16 +146,14 @@ class TestRgesConstants:
 
 def explicit_bound(constants, e0, w_norms, t):
     """The bound at time t as the explicit discounted sum."""
-    return (constants.C_x * e0 * constants.lam_x ** t
-            + sum(constants.C_w * w_norms[j] * constants.lam_w ** (t - j - 1)
+    return (constants.C_x * e0 * constants.lam ** t
+            + sum(constants.C_w * w_norms[j] * constants.lam ** (t - j - 1)
                   for j in range(t)))
 
 
 class TestRgesBound:
-    def test_hand_value(self, bench_cert):
-        constants = rges_constants(bench_cert, alpha=5.0, M=30)
-        constants = type(constants)(C_x=2.0, C_w=1.0, lam_x=0.5, lam_w=0.5,
-                                    rho=0.25)
+    def test_hand_value(self):
+        constants = RgesConstants(C_x=2.0, C_w=1.0, lam=0.5, rho=0.25)
         # b_0 = 2 * 1; b_1 = 2 * 1 * 0.5 + 1 * 1 * 0.5^0 = 2;
         # b_2 = 2 * 0.25 + 1 * 0.5 + 3 * 1 = 4.
         np.testing.assert_allclose(rges_bound(constants, 1.0, [1.0, 3.0]),

@@ -9,7 +9,8 @@ from etmhe import cli
 from etmhe.cli import (ConfigFileError, main, parse_config, trace_columns,
                        write_trace_csv)
 from etmhe.harness import EquivalenceReport, SimConfig, run_closed_loop
-from etmhe.model import BATCH_REACTOR_BOUNDS, Box, DisturbanceBounds, batch_reactor
+from etmhe.model import (BATCH_REACTOR_BOUNDS, Box, ConfigurationError,
+                         DisturbanceBounds, batch_reactor)
 
 from conftest import CONFIG_PATH
 from test_mhe import scalar_cert, scalar_linear_model
@@ -35,6 +36,17 @@ def write_cfg(tmp_path, text, name="case.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+# Each certificate weight at a size the batch reactor (n = 2, q = 3, p = 1)
+# does not have: the config text to replace, its replacement, and the same
+# weights as matrices. P1 and P2 share their text in the benchmark file.
+MISFITS = {
+    "P1": ("4.539, 4.171; 4.171, 3.834", "2", {"P1": [[2.0]], "P2": [[2.0]]}),
+    "Q": ("Q = 1e3, 0, 0; 0, 1e4, 0; 0, 0, 1e3", "Q = 1e3, 0; 0, 1e4",
+          {"Q": np.diag([1e3, 1e4])}),
+    "R": ("R = 1e3", "R = 1e3, 0; 0, 1e3", {"R": 1e3 * np.eye(2)}),
+}
 
 
 class TestParseConfig:
@@ -144,6 +156,36 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigFileError):
             parse_config(tmp_path / "absent.cfg")
+
+    @pytest.mark.parametrize("name", sorted(MISFITS))
+    def test_certificate_must_fit_model(self, tmp_path, capsys, bench_cfg, name):
+        old, new, weights = MISFITS[name]
+        cert = dataclasses.replace(bench_cfg.cert, **weights)
+        with pytest.raises(ConfigurationError, match=f"certificate {name} is"):
+            dataclasses.replace(bench_cfg, cert=cert)
+        path = write_cfg(tmp_path, GOOD.replace(old, new))
+        with pytest.raises(ConfigFileError, match=rf"case\.cfg: certificate {name} is"):
+            parse_config(path)
+        for argv in (["min-horizon"], ["simulate", "--out", str(tmp_path / "out")]):
+            assert main([argv[0], "--config", str(path), *argv[1:]]) == 2
+            assert f"case.cfg: certificate {name} is" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, tmp_path, capsys, bench_cfg):
+        with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+            dataclasses.replace(bench_cfg, seed=-1)
+        path = write_cfg(tmp_path, GOOD.replace("seed = 0", "seed = -1"))
+        with pytest.raises(ConfigFileError, match=r"case\.cfg: seed must be nonnegative"):
+            parse_config(path)
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "case.cfg: seed must be nonnegative" in capsys.readouterr().err
+        # A negative --seed is a usage error too.
+        for argv in (["simulate", "--seed", "-1", "--out", str(tmp_path / "out")],
+                     ["check-ioss", "--samples", "8", "--region", "0,5;0,5",
+                      "--seed", "-3"]):
+            assert main([argv[0], "--config", str(CONFIG_PATH), *argv[1:]]) == 2
+            assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTraceCsv:

@@ -8,9 +8,8 @@ import pytest
 
 from etmhe import (Box, ConfigurationError, DisturbanceBounds, IossCertificate,
                    MheWindow, SimConfig, SystemModel, assemble_event_solution,
-                   harness, output, run_alpha_sweep, run_closed_loop,
-                   run_closed_loop_batch, solve_nlp, step, trigger,
-                   verify_proposition1)
+                   harness, run_alpha_sweep, run_closed_loop,
+                   run_closed_loop_batch, solve_nlp, trigger, verify_proposition1)
 from etmhe.harness import POST_TRANSIENT_START, check_rges, performance_metrics
 from etmhe.certificate import rges_constants
 from etmhe.cli import trace_columns, write_trace_csv
@@ -217,13 +216,13 @@ class TestOtherShape:
         assert tr.gamma.shape == tr.err_norm.shape == (T + 1,)
         assert tr.d.shape == (T + 2,)
         assert 1 <= tr.n_events < T
-        # The plant rows are those of repeated step / output calls.
+        # The plant rows are those of repeated f / h calls.
         u = np.zeros(1)
         for t in range(T + 1):
-            np.testing.assert_array_equal(tr.y[t], output(cfg.model, tr.x[t], u, tr.w[t]))
+            np.testing.assert_array_equal(tr.y[t], cfg.model.h(tr.x[t], u, tr.w[t]))
             if t < T:
                 np.testing.assert_array_equal(
-                    tr.x[t + 1], step(cfg.model, tr.x[t], u, tr.w[t]))
+                    tr.x[t + 1], cfg.model.f(tr.x[t], u, tr.w[t]))
         report = check_rges(tr, rges_constants(cert, cfg.alpha, cfg.M))
         assert report.n_steps == T + 1 and report.n_violations == 0
         out = tmp_path / "trace.csv"
@@ -351,7 +350,9 @@ class TestSweep:
         assert by_alpha[0.0].event_fraction == 1.0
         assert by_alpha[5.0].event_fraction <= 1.0
         assert len(rows) == 2
-        assert by_alpha[5.0].rmse.shape == (2,)
+        for row in rows:
+            assert row.gamma.shape == (cfg.T + 1,)
+            assert row.event_fraction == row.gamma[1:].sum() / cfg.T
 
     def test_empty_grid_rejected(self, bench_cfg):
         with pytest.raises(ConfigurationError):

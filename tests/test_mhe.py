@@ -9,8 +9,8 @@ import pytest
 from etmhe import (Box, ConfigurationError, IossCertificate, MheWindow,
                    SystemModel, assemble_event_solution, cost_residuals,
                    eval_cost, open_loop_predict, rollout, run_closed_loop,
-                   run_closed_loop_batch, solve_nlp, solve_nlp_batch, output,
-                   sample_disturbance, step)
+                   run_closed_loop_batch, solve_nlp, solve_nlp_batch,
+                   sample_disturbance)
 from etmhe import mhe
 from etmhe.model import DisturbanceBounds
 
@@ -46,8 +46,8 @@ def bench_window(bench_model, bench_cert, t=10, seed=5):
     for _ in range(t):
         w = sample_disturbance(rng, bounds)
         ws.append(w)
-        ys.append(output(bench_model, x, u, w))
-        x = step(bench_model, x, u, w)
+        ys.append(bench_model.h(x, u, w))
+        x = bench_model.f(x, u, w)
         xs.append(x)
     window = MheWindow(delta=0, prior=np.array([0.1, 4.5]),
                        measurements=np.array(ys), inputs=np.zeros((t, 0)))
@@ -185,9 +185,8 @@ class TestRollout:
         x = x0
         for k in range(6):
             np.testing.assert_allclose(outputs[k],
-                                       output(bench_model, x, np.zeros(0),
-                                              w_seq[k]))
-            x = step(bench_model, x, np.zeros(0), w_seq[k])
+                                       bench_model.h(x, np.zeros(0), w_seq[k]))
+            x = bench_model.f(x, np.zeros(0), w_seq[k])
             np.testing.assert_allclose(states[k + 1], x)
 
     def test_batched(self, bench_model):

@@ -5,8 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from etmhe import (Box, ConfigurationError, DisturbanceBounds, output,
-                   sample_disturbance, step)
+from etmhe import Box, ConfigurationError, DisturbanceBounds, sample_disturbance
 
 ZERO_W = np.zeros(3)
 NO_U = np.zeros(0)
@@ -34,21 +33,20 @@ class TestBatchReactor:
     def test_nominal_step(self, bench_model):
         # Hand-computed: x1+ = 3 + 0.1*(-2*0.16*9 + 2*0.0064*1) = 2.71328,
         # x2+ = 1 + 0.1*(0.16*9 - 0.0064*1) = 1.14336.
-        x_next = step(bench_model, np.array([3.0, 1.0]), NO_U, ZERO_W)
+        x_next = bench_model.f(np.array([3.0, 1.0]), NO_U, ZERO_W)
         np.testing.assert_allclose(x_next, [2.71328, 1.14336], rtol=1e-14)
 
     def test_disturbed_step(self, bench_model):
         w = np.array([1e-3, -1e-3, 0.0])
-        x_next = step(bench_model, np.array([3.0, 1.0]), NO_U, w)
+        x_next = bench_model.f(np.array([3.0, 1.0]), NO_U, w)
         np.testing.assert_allclose(x_next, [2.71428, 1.14236], rtol=1e-14)
 
     def test_output(self, bench_model):
-        y = output(bench_model, np.array([3.0, 1.0]), NO_U, ZERO_W)
+        y = bench_model.h(np.array([3.0, 1.0]), NO_U, ZERO_W)
         np.testing.assert_allclose(y, [4.0])
-        y = output(bench_model, np.array([3.0, 1.0]), NO_U,
-                   np.array([0.0, 0.0, 0.1]))
+        y = bench_model.h(np.array([3.0, 1.0]), NO_U, np.array([0.0, 0.0, 0.1]))
         np.testing.assert_allclose(y, [4.1])
-        y = output(bench_model, np.array([0.1, 4.5]), NO_U, ZERO_W)
+        y = bench_model.h(np.array([0.1, 4.5]), NO_U, ZERO_W)
         np.testing.assert_allclose(y, [4.6])
 
     def test_batched_evaluation_matches_loop(self, bench_model):
@@ -92,12 +90,6 @@ class TestBatchReactor:
         assert not bench_model.x_set.contains(np.array([-1e-9, 1.0]))
         free = dataclasses.replace(bench_model, x_set=Box.unbounded(2))
         assert free.x_set.contains(np.array([-10.0, -10.0]))
-
-    def test_dimension_checks(self, bench_model):
-        with pytest.raises(ConfigurationError):
-            step(bench_model, np.zeros(3), NO_U, ZERO_W)
-        with pytest.raises(ConfigurationError):
-            output(bench_model, np.zeros(2), NO_U, np.zeros(2))
 
 
 class TestDisturbanceBounds:

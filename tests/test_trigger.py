@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from etmhe import (EtmState, MheWindow, TriggerError, advance, compute_d,
-                   evaluate_trigger, extend, output, sample_disturbance,
-                   solve_nlp, step)
+                   evaluate_trigger, extend, sample_disturbance, solve_nlp)
 from etmhe.model import DisturbanceBounds
 
 
@@ -20,8 +19,8 @@ def simulate(bench_model, t, seed=5):
     for _ in range(t):
         w = sample_disturbance(rng, bounds)
         ws.append(w)
-        ys.append(output(bench_model, x, np.zeros(0), w))
-        x = step(bench_model, x, np.zeros(0), w)
+        ys.append(bench_model.h(x, np.zeros(0), w))
+        x = bench_model.f(x, np.zeros(0), w)
     return np.array(ys), np.array(ws)
 
 
@@ -48,9 +47,9 @@ def explicit_lhs(model, cert, anchor, ys):
     prediction f^span(anchor), from the plant equations directly."""
     x, resids = anchor, []
     for y in ys:
-        r = y - output(model, x, np.zeros(0), np.zeros(model.q))
+        r = y - model.h(x, np.zeros(0), np.zeros(model.q))
         resids.append(float(r @ cert.R @ r))
-        x = step(model, x, np.zeros(0), np.zeros(model.q))
+        x = model.f(x, np.zeros(0), np.zeros(model.q))
     span = len(ys)
     return float(np.sum(cert.eta ** np.arange(span - 1, -1, -1.0)
                         * np.array(resids))), x
@@ -66,7 +65,7 @@ class TestEvaluateTrigger:
         assert evaluate_trigger(state, bench_cert)
         # Equality fires too: a perfect prediction gives lhs == 0 == threshold.
         x = np.array([3.0, 1.0])
-        y = output(bench_model, x, np.zeros(0), np.zeros(3))
+        y = bench_model.h(x, np.zeros(0), np.zeros(3))
         state = extend(EtmState.initial(5.0, x), bench_model, y, np.zeros(0),
                        bench_cert)
         assert state.lhs == 0.0 == state.threshold(bench_cert.eta)
@@ -86,8 +85,8 @@ class TestEvaluateTrigger:
         x = np.array([3.0, 1.0])
         state = EtmState(t=2, eps=1, d=1.0, alpha=5.0, pred=x)
         for _ in range(3):
-            y = output(bench_model, x, np.zeros(0), np.zeros(3))
-            x = step(bench_model, x, np.zeros(0), np.zeros(3))
+            y = bench_model.h(x, np.zeros(0), np.zeros(3))
+            x = bench_model.f(x, np.zeros(0), np.zeros(3))
             state = extend(state, bench_model, y, np.zeros(0), bench_cert)
             assert state.lhs == 0.0
             assert not evaluate_trigger(state, bench_cert)
@@ -103,9 +102,9 @@ class TestEvaluateTrigger:
         lhs = 0.0
         eta = bench_cert.eta
         for k, j in enumerate(range(1, 3)):
-            resid = ys[j] - output(bench_model, x, np.zeros(0), np.zeros(3))
+            resid = ys[j] - bench_model.h(x, np.zeros(0), np.zeros(3))
             lhs += eta ** (1 - k) * 1e3 * float(resid @ resid)
-            x = step(bench_model, x, np.zeros(0), np.zeros(3))
+            x = bench_model.f(x, np.zeros(0), np.zeros(3))
         threshold = 1.0 * eta ** 2 * 1e12
         state = run_silence(state, bench_model, bench_cert, ys[1:3])
         assert state.lhs == pytest.approx(lhs, rel=1e-14)
