@@ -178,7 +178,7 @@ def check_dissipation(cert: IossCertificate, model: SystemModel, region: Box,
     Requires P1 == P2 (the quadratic Lyapunov function ||x - x~||_P^2).
     Samples are stratified: independent pairs, pairs sharing a disturbance,
     local state perturbations, and output-matched pairs, so near-tight
-    directions of the inequality are probed as well. Inputs are held at zero.
+    directions of the inequality are probed as well.
     """
     if not np.allclose(cert.P1, cert.P2, rtol=1e-12, atol=0.0):
         raise CertificateError("dissipation check supports only P1 == P2")
@@ -192,7 +192,6 @@ def check_dissipation(cert: IossCertificate, model: SystemModel, region: Box,
 
     P = cert.P1
     width = region.upper - region.lower
-    u = np.zeros(model.m)
 
     def sample_states(k):
         return rng.uniform(region.lower, region.upper, (k, model.n))
@@ -221,7 +220,7 @@ def check_dissipation(cert: IossCertificate, model: SystemModel, region: Box,
     # Output-matched neighbors (pairs with nearly equal nominal outputs).
     k_last = n_samples - 3 * k
     pts = sample_states(k_last + 1)
-    y_nom = model.h(pts, np.zeros((k_last + 1, model.m)), np.zeros((k_last + 1, model.q)))
+    y_nom = model.h(pts, np.zeros((k_last + 1, model.q)))
     order = np.argsort(y_nom[:, 0], kind="stable")
     w_shared = sample_w(k_last)
     parts.append((pts[order[:-1]], pts[order[1:]], w_shared, w_shared))
@@ -230,10 +229,9 @@ def check_dissipation(cert: IossCertificate, model: SystemModel, region: Box,
     Xt = np.vstack([p[1] for p in parts])
     W = np.vstack([p[2] for p in parts])
     Wt = np.vstack([p[3] for p in parts])
-    U = np.zeros((X.shape[0], model.m))
 
-    lhs = _quad(model.f(X, U, W) - model.f(Xt, U, Wt), P)
-    dy = model.h(X, U, W) - model.h(Xt, U, Wt)
+    lhs = _quad(model.f(X, W) - model.f(Xt, Wt), P)
+    dy = model.h(X, W) - model.h(Xt, Wt)
     rhs = cert.eta * _quad(X - Xt, P) + _quad(W - Wt, cert.Q) + _quad(dy, cert.R)
     margin = lhs - rhs
     violations = int(np.sum(margin > 1e-12))

@@ -169,9 +169,8 @@ def _lockstep(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
     # All plants in one rollout, one disturbance draw per run.
     w = np.stack([sample_disturbance(np.random.default_rng(c.seed), c.w_bounds, T + 1)
                   for c in cfgs])
-    u = np.zeros((T + 1, model.m))
-    x, y = rollout(model, np.stack([c.x0 for c in cfgs]), u[:T], w[:, :T])
-    y = np.concatenate([y, model.h(x[:, T], u[T], w[:, T])[:, None]], axis=1)
+    x, y = rollout(model, np.stack([c.x0 for c in cfgs]), w[:, :T])
+    y = np.concatenate([y, model.h(x[:, T], w[:, T])[:, None]], axis=1)
 
     xhat = np.empty((K, T + 1, model.n))
     xhat[:, 0] = [c.xhat0 for c in cfgs]
@@ -194,7 +193,7 @@ def _lockstep(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
         Mt = min(t, M)
         fired, problems = [], []
         for k, cfg in enumerate(cfgs):
-            etm[k] = extend(etm[k], model, y[k, t - 1], u[t - 1], cert)
+            etm[k] = extend(etm[k], model, y[k, t - 1], cert)
             eps[k, t] = etm[k].eps
             trig_lhs[k, t] = etm[k].lhs
             trig_threshold[k, t] = etm[k].threshold(cert.eta)
@@ -203,13 +202,13 @@ def _lockstep(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
                 # ones went before.
                 tx[k, t] = t - max(t - M, etm[k].eps)
                 window = MheWindow(delta=0, prior=xhat[k, t - Mt],
-                                   measurements=y[k, t - Mt:t], inputs=u[t - Mt:t])
+                                   measurements=y[k, t - Mt:t])
                 warm = (None if last_sol[k] is None
                         else _warm_start(last_sol[k], etm[k].eps, t, window))
                 fired.append(k)
                 problems.append((window, cert, cfg.alpha, warm))
             else:
-                xhat[k, t] = etm[k].pred  # f(xhat[t-1], u[t-1], 0), computed by extend
+                xhat[k, t] = etm[k].pred  # f(xhat[t-1], 0), computed by extend
                 delta[k, t] = t - etm[k].eps
                 d[k, t + 1] = d[k, t]
                 etm[k] = advance(etm[k], False)
@@ -269,7 +268,6 @@ def verify_proposition1(cfg: SimConfig) -> EquivalenceReport:
     """
     trace = run_closed_loop(cfg)
     model, cert, T = cfg.model, cfg.cert, cfg.T
-    u = np.zeros((T + 1, model.m))
 
     # NaN until solved: a prior read too early is rejected by MheWindow.
     oracle_xhat = np.full_like(trace.xhat, np.nan)
@@ -283,7 +281,7 @@ def verify_proposition1(cfg: SimConfig) -> EquivalenceReport:
             dt = int(trace.delta[t])
             start = t - min(t, cfg.M + dt)
             window = MheWindow(delta=dt, prior=oracle_xhat[start],
-                               measurements=trace.y[start:t - dt], inputs=u[start:t])
+                               measurements=trace.y[start:t - dt])
             problems.append((window, cert, cfg.alpha, None))
         for t, sol in zip(steps, solve_nlp_batch(problems, model)):
             oracle_xhat[t] = sol.estimate
@@ -372,6 +370,9 @@ def performance_metrics(trace_et: SimTrace, trace_mhe: SimTrace) -> MetricsRepor
         raise ConfigurationError("traces have different lengths")
     if not np.array_equal(trace_et.w, trace_mhe.w):
         raise ConfigurationError("traces come from different realizations")
+    if trace_et.T < POST_TRANSIENT_START:
+        raise ConfigurationError(f"a run of {trace_et.T} steps ends before the "
+                                 f"post-transient cut at t = {POST_TRANSIENT_START}")
 
     def rmse(trace, start=0):
         return np.sqrt(np.mean((trace.x[start:] - trace.xhat[start:]) ** 2, axis=0))

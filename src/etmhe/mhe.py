@@ -27,38 +27,31 @@ LM_DAMPING_DECREASE = 0.1
 
 @dataclass(frozen=True)
 class MheWindow:
-    """Data of one solve: a window of horizon = len(inputs) steps.
-
-    prior is the prior for the window's first state; measurements holds
-    the transmitted outputs of all but the last delta steps, shape
-    (horizon - delta, p).
+    """Data of one solve: the prior for the window's first state, the
+    transmitted outputs of its measured steps (one row each) and delta,
+    the number of unmeasured steps that end it; its horizon is
+    len(measurements) + delta.
     """
 
     delta: int
     prior: Array
     measurements: Array
-    inputs: Array
 
     def __post_init__(self):
-        prior, meas, inputs = (np.asarray(v, dtype=float) for v in
-                               (self.prior, self.measurements, self.inputs))
+        prior = np.asarray(self.prior, dtype=float)
+        meas = np.asarray(self.measurements, dtype=float)
         if meas.ndim != 2:
             raise ConfigurationError("measurements must be 2-D, one row per step")
-        if inputs.ndim != 2:
-            raise ConfigurationError("inputs must be 2-D, one row per step")
-        if not 0 <= self.delta <= len(inputs):
-            raise ConfigurationError("delta must lie between 0 and the horizon")
-        if len(meas) != len(inputs) - self.delta:
-            raise ConfigurationError(
-                f"expected {len(inputs) - self.delta} measurements, got {len(meas)}")
-        for name, v in (("prior", prior), ("measurements", meas), ("inputs", inputs)):
+        if self.delta < 0:
+            raise ConfigurationError("delta must be nonnegative")
+        for name, v in (("prior", prior), ("measurements", meas)):
             if not np.isfinite(v).all():
                 raise ConfigurationError(f"window {name} must be finite")
             object.__setattr__(self, name, v)
 
     @property
     def horizon(self) -> int:
-        return len(self.inputs)
+        return len(self.measurements) + self.delta
 
 
 @dataclass(frozen=True)
@@ -80,42 +73,27 @@ class MheSolution:
         return self.x_seq[-1]
 
 
-def rollout(model: SystemModel, x_init: Array, u_seq: Array,
-            w_seq: Array) -> Tuple[Array, Array]:
+def rollout(model: SystemModel, x_init: Array, w_seq: Array) -> Tuple[Array, Array]:
     """Forward-simulate states and outputs from x_init; supports batches.
 
-    x_init is batch + (n,) and w_seq batch + (steps, q); u_seq is either
-    (steps, m), shared by every row, or batch + (steps, m), one input
-    sequence per row. Returns (states of length steps+1, outputs of length
-    steps), batch dimensions first.
+    x_init is batch + (n,) and w_seq batch + (steps, q), stepped time
+    first. Returns (states of length steps+1, outputs of length steps),
+    batch dimensions first.
     """
     x_init = np.asarray(x_init, dtype=float)
-    u_seq = np.asarray(u_seq, dtype=float)
-    w_seq = np.asarray(w_seq, dtype=float)
-    steps = w_seq.shape[-2] if w_seq.ndim >= 2 else 0
-    if u_seq.ndim < 2 or u_seq.shape[-2] != steps:
-        raise ConfigurationError("input/disturbance length mismatch")
-    batch = x_init.shape[:-1]
-
-    def time_major(a):
-        # Time first; a sequence shared by the batch broadcasts over it.
-        a = np.moveaxis(a, -2, 0)
-        return a.reshape(a.shape[:1] + (1,) * (len(batch) + 2 - a.ndim) + a.shape[1:])
-
-    u, w = time_major(u_seq), time_major(w_seq)
-    states = np.empty((steps + 1,) + batch + (model.n,))
+    w = np.moveaxis(np.asarray(w_seq, dtype=float), -2, 0)
+    states = np.empty((len(w) + 1,) + x_init.shape)
     states[0] = x_init
-    for k in range(steps):
-        states[k + 1] = model.f(states[k], u[k], w[k])
+    for k in range(len(w)):
+        states[k + 1] = model.f(states[k], w[k])
     # h does not feed back, so one call covers every step.
-    outputs = model.h(states[:-1], u, w)
+    outputs = model.h(states[:-1], w)
     return np.moveaxis(states, 0, -2), np.moveaxis(outputs, 0, -2)
 
 
-def open_loop_predict(model: SystemModel, x_prev: Array, u_prev: Array) -> Array:
-    """Nominal one-step prediction f(x, u, 0)."""
-    return model.f(np.asarray(x_prev, float), np.asarray(u_prev, float),
-                   np.zeros(model.q))
+def open_loop_predict(model: SystemModel, x_prev: Array) -> Array:
+    """Nominal one-step prediction f(x, 0)."""
+    return model.f(np.asarray(x_prev, float), np.zeros(model.q))
 
 
 def cost_residuals(window: MheWindow, cert: IossCertificate, alpha: float):
@@ -156,7 +134,7 @@ def eval_cost(window: MheWindow, x_init: Array, w_seq: Array,
     """Discounted least-squares cost of a candidate (x_init, w_seq)."""
     x_init = np.asarray(x_init, dtype=float)
     w_seq = np.asarray(w_seq, dtype=float).reshape(window.horizon, model.q)
-    _, y_seq = rollout(model, x_init, window.inputs, w_seq)
+    _, y_seq = rollout(model, x_init, w_seq)
     r = cost_residuals(window, cert, alpha)(x_init, w_seq, y_seq)
     return float(r @ r)
 
@@ -217,10 +195,10 @@ def solve_nlp_batch(problems: Sequence[Tuple[MheWindow, IossCertificate, float,
 
     The solves advance together: each round, the pending rollouts of all
     solves are stacked into one batched rollout, each padded to the longest
-    horizon with zero disturbances and inputs; a solve reads back its own
-    rows and its own steps. Each solve's LM arithmetic is its own, and the
-    model computes each batch row as the unbatched call, so every solution
-    equals the solve_nlp one bit for bit.
+    horizon with zero disturbances; a solve reads back its own rows and its
+    own steps. Each solve's LM arithmetic is its own, and the model computes
+    each batch row as the unbatched call, so every solution equals the
+    solve_nlp one bit for bit.
     """
     solvers = [_lm(window, model, cert, alpha, warm)
                for window, cert, alpha, warm in problems]
@@ -244,22 +222,20 @@ def solve_nlp_batch(problems: Sequence[Tuple[MheWindow, IossCertificate, float,
         starts = np.cumsum([0] + sizes[:-1]).tolist()
         L_max = max(lengths)
         Z = np.zeros((sum(sizes), n + L_max * q))
-        U = np.zeros((len(Z), L_max, model.m))
-        for i, a, rows, L in zip(members, starts, sizes, lengths):
+        for i, a, rows in zip(members, starts, sizes):
             z, h_fd = requests[i]
             block = Z[a:a + rows, :rows - 1]
             block[:] = z
             np.fill_diagonal(block[1:], z + h_fd)
-            U[a:a + rows, :L] = problems[i][0].inputs
         x0 = Z[:, :n]
         w = Z[:, n:].reshape(len(Z), L_max, q)
-        states, outputs = rollout(model, x0, U, w)
+        states, outputs = rollout(model, x0, w)
         replies = [(x0[a:a + rows], w[a:a + rows, :L], states[a, :L + 1].copy(),
                     outputs[a:a + rows, :L])
                    for a, rows, L in zip(starts, sizes, lengths)]
         # Only the replies hold this round's arrays, and each solve drops
         # its reply before it asks for the next rollout.
-        del Z, U, x0, w, states, outputs
+        del Z, x0, w, states, outputs
         for i in members:
             send(i, replies.pop(0))
     return solutions
@@ -359,7 +335,7 @@ def _lm(window: MheWindow, model: SystemModel, cert: IossCertificate,
 
 
 def assemble_event_solution(prev: MheSolution, delta: int, model: SystemModel,
-                            u_seq: Array, eta: Optional[float] = None) -> MheSolution:
+                            eta: Optional[float] = None) -> MheSolution:
     """Extend the last event's solution by delta nominal steps.
 
     Same initial window state and disturbances, zero disturbances on the
@@ -371,15 +347,12 @@ def assemble_event_solution(prev: MheSolution, delta: int, model: SystemModel,
         raise ConfigurationError("delta must be nonnegative")
     if delta == 0:
         return prev
-    if len(u_seq) != delta:
-        raise ConfigurationError(f"expected {delta} inputs, got {len(u_seq)}")
     w_ext = np.vstack([prev.w_seq, np.zeros((delta, model.q))])
     x_seq = list(prev.x_seq)
     y_seq = list(prev.y_seq)
-    for k in range(delta):
-        u = np.asarray(u_seq[k], dtype=float)
-        y_seq.append(model.h(x_seq[-1], u, np.zeros(model.q)))
-        x_seq.append(open_loop_predict(model, x_seq[-1], u))
+    for _ in range(delta):
+        y_seq.append(model.h(x_seq[-1], np.zeros(model.q)))
+        x_seq.append(open_loop_predict(model, x_seq[-1]))
     cost = prev.cost if eta is None else prev.cost * eta ** delta
     return replace(prev, w_seq=w_ext, x_seq=np.asarray(x_seq),
                    y_seq=np.asarray(y_seq), cost=cost, iterations=0)

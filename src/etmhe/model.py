@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -46,10 +47,10 @@ class Box:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Discrete-time system x+ = f(x, u, w), y = h(x, u, w).
+    """Discrete-time system x+ = f(x, w), y = h(x, w).
 
     f and h must be deterministic and broadcast over leading batch
-    dimensions (inputs of shape (..., dim)). Each batch row of a batched
+    dimensions (arguments of shape (..., dim)). Each batch row of a batched
     call must equal the unbatched call on that row, bit for bit: the MHE
     solver evaluates a trial point and its finite-difference perturbations
     in one batched rollout and reads the trial point from row 0, and the
@@ -57,21 +58,20 @@ class SystemModel:
     of their plants and solves, so each of its traces equals the separate
     run's. rollout calls h once for all steps, with time as an extra
     leading batch dimension, and the solves of a batch are padded to the
-    longest horizon with zero w and u: the padded steps are computed and
+    longest horizon with zero w: the padded steps are computed and
     discarded.
     """
 
     n: int
-    m: int
     q: int
     p: int
-    f: Callable[[Array, Array, Array], Array]
-    h: Callable[[Array, Array, Array], Array]
+    f: Callable[[Array, Array], Array]
+    h: Callable[[Array, Array], Array]
     x_set: Box
     w_set: Box
 
     def __post_init__(self):
-        if min(self.n, self.q, self.p) < 1 or self.m < 0:
+        if min(self.n, self.q, self.p) < 1:
             raise ConfigurationError("invalid model dimensions")
         for box, dim, name in ((self.x_set, self.n, "x_set"),
                                (self.w_set, self.q, "w_set")):
@@ -119,8 +119,12 @@ def batch_reactor(k1: float = 0.16, k2: float = 0.0064, tau: float = 0.1,
     x2+ = x2 + tau*( k1*x1^2 -   k2*x2) + w2
     y   = x1 + x2 + w3
     """
+    for name, value in (("k1", k1), ("k2", k2), ("tau", tau)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigurationError(
+                f"{name} must be finite and nonnegative, got {value}")
 
-    def f(x, u, w):
+    def f(x, w):
         x1, x2 = x[..., 0], x[..., 1]
         x1_next = x1 + tau * (-2.0 * k1 * x1 ** 2 + 2.0 * k2 * x2) + w[..., 0]
         out = np.empty(np.shape(x1_next) + (2,))
@@ -128,9 +132,9 @@ def batch_reactor(k1: float = 0.16, k2: float = 0.0064, tau: float = 0.1,
         out[..., 1] = x2 + tau * (k1 * x1 ** 2 - k2 * x2) + w[..., 1]
         return out
 
-    def h(x, u, w):
+    def h(x, w):
         return (x[..., 0] + x[..., 1] + w[..., 2])[..., None]
 
-    return SystemModel(n=2, m=0, q=3, p=1, f=f, h=h,
+    return SystemModel(n=2, q=3, p=1, f=f, h=h,
                        x_set=Box(np.zeros(2), np.full(2, np.inf)),
                        w_set=w_bounds.as_box())

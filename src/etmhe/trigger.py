@@ -49,15 +49,15 @@ class EtmState:
         return self.alpha * eta ** (self.t - self.eps) * self.d
 
 
-def extend(state: EtmState, model: SystemModel, y_last: Array, u_last: Array,
+def extend(state: EtmState, model: SystemModel, y_last: Array,
            cert: IossCertificate) -> EtmState:
     """Fold y_{t-1} into the residual sum and move pred on to time t."""
     if np.shape(y_last) != (model.p,):
         raise TriggerError("extend takes the single newest measurement")
     zero_w = np.zeros(model.q)
-    resid = y_last - model.h(state.pred, u_last, zero_w)
+    resid = y_last - model.h(state.pred, zero_w)
     lhs = cert.eta * state.lhs + float(resid @ cert.R @ resid)
-    return replace(state, pred=model.f(state.pred, u_last, zero_w), lhs=lhs)
+    return replace(state, pred=model.f(state.pred, zero_w), lhs=lhs)
 
 
 def evaluate_trigger(state: EtmState, cert: IossCertificate) -> bool:
@@ -70,8 +70,7 @@ def compute_d(solution: MheSolution, window: MheWindow,
     """Threshold statistic d_{t+1} from a fresh event-time solution."""
     if window.delta != 0:
         raise TriggerError("d is computed only at event times")
-    Mt = window.horizon
-    if len(solution.w_seq) != Mt or len(window.measurements) != Mt:
+    if len(solution.w_seq) != window.horizon:
         raise TriggerError("solution does not match the window")
     # The discounted stage cost of the window: the cost at alpha = 0 without
     # its prior term.

@@ -1,6 +1,7 @@
 """Config parsing, CSV output and command-line entry points."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -22,10 +23,8 @@ def assert_model_equal(model, expected):
     """Same dimensions and sets, and the same f and h on random points."""
     rng = np.random.default_rng(0)
     x, w = rng.uniform(0.0, 5.0, (20, 2)), rng.uniform(-0.1, 0.1, (20, 3))
-    u = np.zeros((20, 0))
     for name in ("f", "h"):
-        assert np.array_equal(getattr(model, name)(x, u, w),
-                              getattr(expected, name)(x, u, w))
+        assert np.array_equal(getattr(model, name)(x, w), getattr(expected, name)(x, w))
     for name in ("x_set", "w_set"):
         for side in ("lower", "upper"):
             np.testing.assert_array_equal(getattr(getattr(model, name), side),
@@ -169,6 +168,19 @@ class TestParseConfig:
         for argv in (["min-horizon"], ["simulate", "--out", str(tmp_path / "out")]):
             assert main([argv[0], "--config", str(path), *argv[1:]]) == 2
             assert f"case.cfg: certificate {name} is" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new", [("k1 = 0.16", "k1 = nan"),
+                                         ("k2 = 0.0064", "k2 = inf"),
+                                         ("tau = 0.1", "tau = -1")])
+    def test_bad_model_parameter_rejected(self, tmp_path, capsys, old, new):
+        path = write_cfg(tmp_path, GOOD.replace(old, new))
+        message = f"case.cfg: {new.split()[0]} must be finite and nonnegative"
+        with pytest.raises(ConfigFileError, match=re.escape(message)):
+            parse_config(path)
+        for argv in (["min-horizon"], ["simulate", "--out", str(tmp_path / "out")]):
+            assert main([argv[0], "--config", str(path), *argv[1:]]) == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys, bench_cfg):
         with pytest.raises(ConfigurationError, match="seed must be nonnegative"):

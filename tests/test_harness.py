@@ -49,13 +49,13 @@ class TestClosedLoop:
         # At silent steps the estimate is the nominal propagation of the
         # previous one, bit for bit; alpha = 20 leaves long silences.
         model = short_cfg.model
-        u, zero_w = np.zeros(model.m), np.zeros(model.q)
+        zero_w = np.zeros(model.q)
         long_silences = run_closed_loop(dataclasses.replace(short_cfg, alpha=20.0, T=150))
         assert np.sum(long_silences.gamma == 0) > 100
         for tr in (short_trace, long_silences):
             for t in np.flatnonzero(tr.gamma == 0):
                 np.testing.assert_array_equal(tr.xhat[t],
-                                              model.f(tr.xhat[t - 1], u, zero_w))
+                                              model.f(tr.xhat[t - 1], zero_w))
 
     def test_trigger_bookkeeping_invariants(self, short_trace):
         tr = short_trace
@@ -129,8 +129,7 @@ class TestClosedLoop:
         def checked(prev_sol, prev_t, t, window):
             x_start, w_seq = warm_start(prev_sol, prev_t, t, window)
             delta = t - prev_t
-            ext = assemble_event_solution(prev_sol, delta, cfg.model,
-                                          np.zeros((delta, cfg.model.m)))
+            ext = assemble_event_solution(prev_sol, delta, cfg.model)
             offset = (t - window.horizon) - (prev_t - len(prev_sol.w_seq))
             np.testing.assert_array_equal(x_start, ext.x_seq[offset])
             np.testing.assert_array_equal(w_seq, ext.w_seq[offset:])
@@ -173,25 +172,24 @@ class TestClosedLoop:
 
 
 def linear_model_3x2():
-    """x+ = A x + B u + (w1, w2, w3), y = (x1 + w4, x2 + x3 + w5): n=3, m=1, q=5, p=2.
+    """x+ = A x + (w1, w2, w3), y = (x1 + w4, x2 + x3 + w5): n=3, q=5, p=2.
 
     Written coordinate by coordinate so that batched rows equal unbatched
     calls bit for bit. |A|_2 < 0.5, so V = |x - x'|^2 dissipates with
     eta = 0.5 and Q = 2 on the process noise.
     """
     A = np.array([[0.4, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.2]])
-    B = np.array([1.0, 0.0, 0.5])
 
-    def f(x, u, w):
+    def f(x, w):
         return np.stack([A[i, 0] * x[..., 0] + A[i, 1] * x[..., 1]
-                         + A[i, 2] * x[..., 2] + B[i] * u[..., 0] + w[..., i]
+                         + A[i, 2] * x[..., 2] + w[..., i]
                          for i in range(3)], axis=-1)
 
-    def h(x, u, w):
+    def h(x, w):
         return np.stack([x[..., 0] + w[..., 3], x[..., 1] + x[..., 2] + w[..., 4]],
                         axis=-1)
 
-    return SystemModel(n=3, m=1, q=5, p=2, f=f, h=h, x_set=Box.unbounded(3),
+    return SystemModel(n=3, q=5, p=2, f=f, h=h, x_set=Box.unbounded(3),
                        w_set=Box.unbounded(5))
 
 
@@ -217,12 +215,10 @@ class TestOtherShape:
         assert tr.d.shape == (T + 2,)
         assert 1 <= tr.n_events < T
         # The plant rows are those of repeated f / h calls.
-        u = np.zeros(1)
         for t in range(T + 1):
-            np.testing.assert_array_equal(tr.y[t], cfg.model.h(tr.x[t], u, tr.w[t]))
+            np.testing.assert_array_equal(tr.y[t], cfg.model.h(tr.x[t], tr.w[t]))
             if t < T:
-                np.testing.assert_array_equal(
-                    tr.x[t + 1], cfg.model.f(tr.x[t], u, tr.w[t]))
+                np.testing.assert_array_equal(tr.x[t + 1], cfg.model.f(tr.x[t], tr.w[t]))
         report = check_rges(tr, rges_constants(cert, cfg.alpha, cfg.M))
         assert report.n_steps == T + 1 and report.n_violations == 0
         out = tmp_path / "trace.csv"
@@ -288,14 +284,13 @@ class TestOracleEquivalence:
 def serial_proposition1(cfg):
     """verify_proposition1 as one solve_nlp per step, in t order."""
     trace = run_closed_loop(cfg)
-    u = np.zeros((cfg.T + 1, cfg.model.m))
     xhat, cost = trace.xhat.copy(), np.full(cfg.T + 1, np.nan)
     max_disc = max_cost_err = 0.0
     for t in range(1, cfg.T + 1):
         dt = int(trace.delta[t])
         start = t - min(t, cfg.M + dt)
         window = MheWindow(delta=dt, prior=xhat[start],
-                           measurements=trace.y[start:t - dt], inputs=u[start:t])
+                           measurements=trace.y[start:t - dt])
         sol = solve_nlp(window, cfg.model, cfg.cert, cfg.alpha)
         xhat[t], cost[t] = sol.estimate, sol.cost
         max_disc = max(max_disc, float(np.max(np.abs(xhat[t] - trace.xhat[t]))))
@@ -401,6 +396,13 @@ class TestBoundAndMetrics:
         other = run_closed_loop(dataclasses.replace(bench_cfg, T=40, seed=1))
         with pytest.raises(ConfigurationError):
             performance_metrics(short_trace, other)
+
+    def test_metrics_need_post_transient_steps(self, bench_cfg):
+        cfg = dataclasses.replace(bench_cfg, T=20)
+        et, std = run_closed_loop_batch([cfg, dataclasses.replace(cfg, alpha=0.0)])
+        with pytest.raises(ConfigurationError,
+                           match=f"cut at t = {POST_TRANSIENT_START}"):
+            performance_metrics(et, std)
 
     def test_metrics_fields(self, bench_cfg, short_trace):
         std = run_closed_loop(dataclasses.replace(bench_cfg, T=40, alpha=0.0))

@@ -14,19 +14,17 @@ from etmhe import (Box, ConfigurationError, IossCertificate, MheWindow,
 from etmhe import mhe
 from etmhe.model import DisturbanceBounds
 
-from test_harness import linear_model_3x2
-
 
 def scalar_linear_model(a=0.9):
     """x+ = a x + w1, y = x + w2, everything unconstrained."""
 
-    def f(x, u, w):
+    def f(x, w):
         return (a * x[..., 0] + w[..., 0])[..., None]
 
-    def h(x, u, w):
+    def h(x, w):
         return (x[..., 0] + w[..., 1])[..., None]
 
-    return SystemModel(n=1, m=0, q=2, p=1, f=f, h=h,
+    return SystemModel(n=1, q=2, p=1, f=f, h=h,
                        x_set=Box.unbounded(1), w_set=Box.unbounded(2))
 
 
@@ -41,77 +39,55 @@ def bench_window(bench_model, bench_cert, t=10, seed=5):
     rng = np.random.default_rng(seed)
     bounds = DisturbanceBounds(np.array([1e-3, 1e-3, 0.1]))
     x = np.array([3.0, 1.0])
-    u = np.zeros(0)
     ys, ws, xs = [], [], [x]
     for _ in range(t):
         w = sample_disturbance(rng, bounds)
         ws.append(w)
-        ys.append(bench_model.h(x, u, w))
-        x = bench_model.f(x, u, w)
+        ys.append(bench_model.h(x, w))
+        x = bench_model.f(x, w)
         xs.append(x)
     window = MheWindow(delta=0, prior=np.array([0.1, 4.5]),
-                       measurements=np.array(ys), inputs=np.zeros((t, 0)))
+                       measurements=np.array(ys))
     return window, np.array(xs), np.array(ws)
 
 
 class TestWindow:
     @pytest.mark.parametrize("horizon,delta", [(3, 0), (34, 4), (5, 5)])
-    def test_horizon_is_number_of_inputs(self, horizon, delta):
+    def test_horizon_is_measurements_plus_delta(self, horizon, delta):
         w = MheWindow(delta=delta, prior=np.zeros(2),
-                      measurements=np.zeros((horizon - delta, 1)),
-                      inputs=np.zeros((horizon, 0)))
-        assert w.horizon == len(w.inputs) == horizon
+                      measurements=np.zeros((horizon - delta, 1)))
+        assert w.horizon == len(w.measurements) + delta == horizon
 
     def test_validation(self):
-        prior = np.zeros(2)
-        with pytest.raises(ConfigurationError):
-            MheWindow(delta=-1, prior=prior,
-                      measurements=np.zeros((3, 1)), inputs=np.zeros((2, 0)))
-        with pytest.raises(ConfigurationError):
-            MheWindow(delta=3, prior=prior,
-                      measurements=np.zeros((0, 1)), inputs=np.zeros((2, 0)))
-        with pytest.raises(ConfigurationError):
-            MheWindow(delta=0, prior=prior,
-                      measurements=np.zeros((2, 1)), inputs=np.zeros((3, 0)))
-        with pytest.raises(ConfigurationError):
-            MheWindow(delta=0, prior=prior,
-                      measurements=np.zeros((3, 1)), inputs=np.zeros((2, 0)))
-
-    def test_one_dimensional_inputs_rejected(self):
-        with pytest.raises(ConfigurationError, match="inputs must be 2-D"):
-            MheWindow(delta=0, prior=np.zeros(2), measurements=np.zeros((3, 1)),
-                      inputs=np.zeros(3))
+        with pytest.raises(ConfigurationError, match="delta must be nonnegative"):
+            MheWindow(delta=-1, prior=np.zeros(2), measurements=np.zeros((3, 1)))
 
     def test_one_dimensional_measurements_rejected(self):
         with pytest.raises(ConfigurationError, match="2-D"):
-            MheWindow(delta=0, prior=np.zeros(2), measurements=np.zeros(3),
-                      inputs=np.zeros((3, 0)))
+            MheWindow(delta=0, prior=np.zeros(2), measurements=np.zeros(3))
 
     def test_unmeasured_window(self, bench_model, bench_cert):
         # A window whose every step is unmeasured holds (0, p) measurements;
         # its optimum is the prior propagated open loop.
         prior = np.array([2.0, 2.0])
-        window = MheWindow(delta=4, prior=prior, measurements=np.zeros((0, 1)),
-                           inputs=np.zeros((4, 0)))
+        window = MheWindow(delta=4, prior=prior, measurements=np.zeros((0, 1)))
         assert window.measurements.shape == (0, 1) and window.horizon == 4
         sol = solve_nlp(window, bench_model, bench_cert, 5.0)
         x = prior
         for _ in range(4):
-            x = open_loop_predict(bench_model, x, np.zeros(0))
+            x = open_loop_predict(bench_model, x)
         np.testing.assert_allclose(sol.estimate, x, atol=1e-12)
         assert sol.cost == pytest.approx(0.0, abs=1e-20)
 
     def test_output_dimension_checked(self, bench_cert):
-        window = MheWindow(delta=0, prior=np.zeros(2), measurements=np.zeros((3, 2)),
-                           inputs=np.zeros((3, 0)))
+        window = MheWindow(delta=0, prior=np.zeros(2), measurements=np.zeros((3, 2)))
         with pytest.raises(ConfigurationError, match="output dimension"):
             cost_residuals(window, bench_cert, 5.0)
 
-    @pytest.mark.parametrize("field", ["prior", "measurements", "inputs"])
+    @pytest.mark.parametrize("field", ["prior", "measurements"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_data_rejected(self, field, bad):
-        data = {"prior": np.zeros(2), "measurements": np.zeros((3, 1)),
-                "inputs": np.zeros((3, 1))}
+        data = {"prior": np.zeros(2), "measurements": np.zeros((3, 1))}
         data[field] = data[field].copy()
         data[field].flat[-1] = bad
         with pytest.raises(ConfigurationError, match=field):
@@ -181,46 +157,27 @@ class TestRollout:
         rng = np.random.default_rng(11)
         w_seq = rng.uniform(-1e-3, 1e-3, (6, 3))
         x0 = np.array([3.0, 1.0])
-        states, outputs = rollout(bench_model, x0, np.zeros((6, 0)), w_seq)
+        states, outputs = rollout(bench_model, x0, w_seq)
         x = x0
         for k in range(6):
-            np.testing.assert_allclose(outputs[k],
-                                       bench_model.h(x, np.zeros(0), w_seq[k]))
-            x = bench_model.f(x, np.zeros(0), w_seq[k])
+            np.testing.assert_allclose(outputs[k], bench_model.h(x, w_seq[k]))
+            x = bench_model.f(x, w_seq[k])
             np.testing.assert_allclose(states[k + 1], x)
 
     def test_batched(self, bench_model):
         rng = np.random.default_rng(12)
         X0 = rng.uniform(0.0, 4.0, (5, 2))
         W = rng.uniform(-1e-3, 1e-3, (5, 4, 3))
-        states, outputs = rollout(bench_model, X0, np.zeros((4, 0)), W)
+        states, outputs = rollout(bench_model, X0, W)
         assert states.shape == (5, 5, 2) and outputs.shape == (5, 4, 1)
         for i in range(5):
-            s_i, o_i = rollout(bench_model, X0[i], np.zeros((4, 0)), W[i])
+            s_i, o_i = rollout(bench_model, X0[i], W[i])
             np.testing.assert_allclose(states[i], s_i)
             np.testing.assert_allclose(outputs[i], o_i)
 
-    def test_per_row_inputs(self):
-        model = linear_model_3x2()  # m = 1, and f reads u
-        rng = np.random.default_rng(13)
-        X0 = rng.uniform(-1.0, 1.0, (4, 3))
-        U = rng.uniform(-1.0, 1.0, (4, 6, 1))
-        W = rng.uniform(-0.1, 0.1, (4, 6, 5))
-        states, outputs = rollout(model, X0, U, W)
-        assert states.shape == (4, 7, 3) and outputs.shape == (4, 6, 2)
-        for i in range(4):
-            s_i, o_i = rollout(model, X0[i], U[i], W[i])
-            assert np.array_equal(states[i], s_i)
-            assert np.array_equal(outputs[i], o_i)
-        # A sequence shared by the batch is the same as a copy on each row.
-        shared = rollout(model, X0, U[0], W)
-        tiled = rollout(model, X0, np.broadcast_to(U[0], U.shape), W)
-        for a, b in zip(shared, tiled):
-            assert np.array_equal(a, b)
-
     def test_open_loop_predict(self, bench_model):
         x = np.array([3.0, 1.0])
-        np.testing.assert_allclose(open_loop_predict(bench_model, x, np.zeros(0)),
+        np.testing.assert_allclose(open_loop_predict(bench_model, x),
                                    [2.71328, 1.14336], rtol=1e-14)
 
 
@@ -229,7 +186,7 @@ class TestEvalCost:
         model = scalar_linear_model()
         cert = scalar_cert()
         window = MheWindow(delta=0, prior=np.array([1.2]),
-                           measurements=np.array([[2.0]]), inputs=np.zeros((1, 0)))
+                           measurements=np.array([[2.0]]))
         x0, w = np.array([1.5]), np.array([[0.1, -0.2]])
         # 2 eta P2 (x0-p)^2 + 2(alpha+1)(Q1 w1^2 + Q2 w2^2)
         # + (alpha+1) R (x0 + w2 - y)^2, all discounts eta^0 = 1.
@@ -243,7 +200,7 @@ class TestEvalCost:
         model = scalar_linear_model()
         cert = scalar_cert(eta=0.5)
         window = MheWindow(delta=0, prior=np.array([0.0]),
-                           measurements=np.zeros((2, 1)), inputs=np.zeros((2, 0)))
+                           measurements=np.zeros((2, 1)))
         # Prior-only candidate: cost = 2 eta^2 P2 x0^2 + output terms.
         x0 = np.array([1.0])
         w = np.zeros((2, 2))
@@ -259,10 +216,9 @@ class TestEvalCost:
         # at all (horizon == delta), for random candidates and several alphas.
         rng = np.random.default_rng(21)
         windows = [MheWindow(delta=4, prior=np.array([0.1, 4.5]),
-                             measurements=rng.uniform(3.0, 5.0, (15, 1)),
-                             inputs=np.zeros((19, 0))),
+                             measurements=rng.uniform(3.0, 5.0, (15, 1))),
                    MheWindow(delta=5, prior=np.array([2.0, 2.0]),
-                             measurements=np.zeros((0, 1)), inputs=np.zeros((5, 0)))]
+                             measurements=np.zeros((0, 1)))]
         for window in windows:
             for alpha in (0.0, 5.0, 20.0):
                 for _ in range(5):
@@ -275,12 +231,11 @@ class TestEvalCost:
     def test_batched_rows_match_single_calls(self, bench_model, bench_cert):
         rng = np.random.default_rng(22)
         window = MheWindow(delta=4, prior=np.array([0.1, 4.5]),
-                           measurements=rng.uniform(3.0, 5.0, (15, 1)),
-                           inputs=np.zeros((19, 0)))
+                           measurements=rng.uniform(3.0, 5.0, (15, 1)))
         residuals = cost_residuals(window, bench_cert, 5.0)
         X0 = rng.uniform(0.0, 5.0, (4, 2))
         W = rng.uniform(-0.1, 0.1, (4, 19, 3))
-        _, Y = rollout(bench_model, X0, window.inputs, W)
+        _, Y = rollout(bench_model, X0, W)
         R = residuals(X0, W, Y)
         assert R.shape == (4, 2 + 19 * 3 + 15)
         for i in range(4):
@@ -292,7 +247,7 @@ def explicit_cost(window, x_init, w_seq, model, cert, alpha):
     """Oracle: the window cost summed term by term."""
     eta, Mt = cert.eta, window.horizon
     P2, Q, R = cert.P2, cert.Q, cert.R
-    _, y_seq = rollout(model, x_init, window.inputs, w_seq)
+    _, y_seq = rollout(model, x_init, w_seq)
     dp = x_init - window.prior
     cost = 2.0 * eta ** Mt * float(dp @ P2 @ dp)
     for k in range(Mt):
@@ -310,7 +265,7 @@ class TestSolver:
         cert = scalar_cert()
         prior, y = 1.2, 2.0
         window = MheWindow(delta=0, prior=np.array([prior]),
-                           measurements=np.array([[y]]), inputs=np.zeros((1, 0)))
+                           measurements=np.array([[y]]))
         sol = solve_nlp(window, model, cert, 2.0)
         assert sol.converged
         # Quadratic objective in (x0, w2) with w1* = 0; solve its normal
@@ -360,7 +315,7 @@ class TestSolver:
     def test_trajectory_is_rollout_of_solution(self, bench_model, bench_cert):
         window, _, _ = bench_window(bench_model, bench_cert)
         sol = solve_nlp(window, bench_model, bench_cert, 5.0)
-        x_seq, y_seq = rollout(bench_model, sol.x_init, window.inputs, sol.w_seq)
+        x_seq, y_seq = rollout(bench_model, sol.x_init, sol.w_seq)
         assert np.array_equal(sol.x_seq, x_seq)
         assert np.array_equal(sol.y_seq, y_seq)
         # Copies, not views that would keep the solver's batch buffers alive.
@@ -428,8 +383,7 @@ class TestSolver:
         for L, delta in zip(range(7, 13), (0, 2, 0, 1, 3, 0)):
             window, _, _ = bench_window(bench_model, bench_cert, t=L, seed=L)
             window = MheWindow(delta=delta, prior=window.prior,
-                               measurements=window.measurements[:L - delta],
-                               inputs=window.inputs)
+                               measurements=window.measurements[:L - delta])
             problems.append((window, bench_cert, 5.0, None))
         rows = []
 
@@ -462,30 +416,26 @@ class TestAssembledSolution:
     def test_open_loop_extension(self, bench_model, bench_cert):
         window, _, _ = bench_window(bench_model, bench_cert)
         sol = solve_nlp(window, bench_model, bench_cert, 5.0)
-        ext = assemble_event_solution(sol, 3, bench_model, np.zeros((3, 0)),
-                                      eta=bench_cert.eta)
+        ext = assemble_event_solution(sol, 3, bench_model, eta=bench_cert.eta)
         assert len(ext.x_seq) == len(sol.x_seq) + 3
         assert len(ext.w_seq) == len(sol.w_seq) + 3
         np.testing.assert_array_equal(ext.w_seq[-3:], 0.0)
         x = sol.estimate
         for k in range(3):
-            x = open_loop_predict(bench_model, x, np.zeros(0))
+            x = open_loop_predict(bench_model, x)
             np.testing.assert_allclose(ext.x_seq[len(sol.x_seq) + k], x)
         assert ext.cost == pytest.approx(sol.cost * bench_cert.eta ** 3)
         # Without eta the cost is carried over unchanged.
-        same = assemble_event_solution(sol, 3, bench_model, np.zeros((3, 0)))
+        same = assemble_event_solution(sol, 3, bench_model)
         assert same.cost == sol.cost
 
     def test_zero_delta_is_identity(self, bench_model, bench_cert):
         window, _, _ = bench_window(bench_model, bench_cert)
         sol = solve_nlp(window, bench_model, bench_cert, 5.0)
-        assert assemble_event_solution(sol, 0, bench_model,
-                                       np.zeros((0, 0))) is sol
+        assert assemble_event_solution(sol, 0, bench_model) is sol
 
     def test_input_validation(self, bench_model, bench_cert):
         window, _, _ = bench_window(bench_model, bench_cert)
         sol = solve_nlp(window, bench_model, bench_cert, 5.0)
         with pytest.raises(ConfigurationError):
-            assemble_event_solution(sol, -1, bench_model, np.zeros((0, 0)))
-        with pytest.raises(ConfigurationError):
-            assemble_event_solution(sol, 2, bench_model, np.zeros((1, 0)))
+            assemble_event_solution(sol, -1, bench_model)

@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from etmhe import Box, ConfigurationError, DisturbanceBounds, sample_disturbance
+from etmhe import (Box, ConfigurationError, DisturbanceBounds, batch_reactor,
+                   sample_disturbance)
 
 ZERO_W = np.zeros(3)
-NO_U = np.zeros(0)
 
 
 class TestBox:
@@ -33,31 +33,30 @@ class TestBatchReactor:
     def test_nominal_step(self, bench_model):
         # Hand-computed: x1+ = 3 + 0.1*(-2*0.16*9 + 2*0.0064*1) = 2.71328,
         # x2+ = 1 + 0.1*(0.16*9 - 0.0064*1) = 1.14336.
-        x_next = bench_model.f(np.array([3.0, 1.0]), NO_U, ZERO_W)
+        x_next = bench_model.f(np.array([3.0, 1.0]), ZERO_W)
         np.testing.assert_allclose(x_next, [2.71328, 1.14336], rtol=1e-14)
 
     def test_disturbed_step(self, bench_model):
         w = np.array([1e-3, -1e-3, 0.0])
-        x_next = bench_model.f(np.array([3.0, 1.0]), NO_U, w)
+        x_next = bench_model.f(np.array([3.0, 1.0]), w)
         np.testing.assert_allclose(x_next, [2.71428, 1.14236], rtol=1e-14)
 
     def test_output(self, bench_model):
-        y = bench_model.h(np.array([3.0, 1.0]), NO_U, ZERO_W)
+        y = bench_model.h(np.array([3.0, 1.0]), ZERO_W)
         np.testing.assert_allclose(y, [4.0])
-        y = bench_model.h(np.array([3.0, 1.0]), NO_U, np.array([0.0, 0.0, 0.1]))
+        y = bench_model.h(np.array([3.0, 1.0]), np.array([0.0, 0.0, 0.1]))
         np.testing.assert_allclose(y, [4.1])
-        y = bench_model.h(np.array([0.1, 4.5]), NO_U, ZERO_W)
+        y = bench_model.h(np.array([0.1, 4.5]), ZERO_W)
         np.testing.assert_allclose(y, [4.6])
 
     def test_batched_evaluation_matches_loop(self, bench_model):
         rng = np.random.default_rng(3)
         X = rng.uniform(0.0, 5.0, (7, 2))
         W = rng.uniform(-1e-3, 1e-3, (7, 3))
-        U = np.zeros((7, 0))
-        batched = bench_model.f(X, U, W)
-        rowwise = np.array([bench_model.f(X[i], U[i], W[i]) for i in range(7)])
+        batched = bench_model.f(X, W)
+        rowwise = np.array([bench_model.f(X[i], W[i]) for i in range(7)])
         np.testing.assert_allclose(batched, rowwise, rtol=0, atol=0)
-        np.testing.assert_allclose(bench_model.h(X, U, W)[:, 0],
+        np.testing.assert_allclose(bench_model.h(X, W)[:, 0],
                                    X[:, 0] + X[:, 1] + W[:, 2])
 
     def test_matches_stacked_formula(self, bench_model):
@@ -70,20 +69,29 @@ class TestBatchReactor:
             stacked = np.stack(
                 [x1 + tau * (-2.0 * k1 * x1 ** 2 + 2.0 * k2 * x2) + W[..., 0],
                  x2 + tau * (k1 * x1 ** 2 - k2 * x2) + W[..., 1]], axis=-1)
-            assert np.array_equal(bench_model.f(X, NO_U, W), stacked)
+            assert np.array_equal(bench_model.f(X, W), stacked)
 
     def test_broadcasts_unbatched_argument(self, bench_model):
         rng = np.random.default_rng(5)
         X = rng.uniform(0.0, 5.0, (6, 2))
         W = rng.uniform(-1e-3, 1e-3, (6, 3))
-        out = bench_model.f(X[0], NO_U, W)
+        out = bench_model.f(X[0], W)
         assert out.shape == (6, 2)
         for i in range(6):
-            assert np.array_equal(out[i], bench_model.f(X[0], NO_U, W[i]))
-        out = bench_model.f(X, NO_U, W[0])
+            assert np.array_equal(out[i], bench_model.f(X[0], W[i]))
+        out = bench_model.f(X, W[0])
         assert out.shape == (6, 2)
         for i in range(6):
-            assert np.array_equal(out[i], bench_model.f(X[i], NO_U, W[0]))
+            assert np.array_equal(out[i], bench_model.f(X[i], W[0]))
+
+    @pytest.mark.parametrize("name,bad", [("k1", np.nan), ("k2", np.inf),
+                                          ("tau", -1.0), ("k1", -0.16), ("k2", -1.0)])
+    def test_bad_parameters_rejected(self, name, bad):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{name} must be finite and nonnegative"):
+            batch_reactor(**{name: bad})
+        # Zero is allowed: tau = 0 is a plant that does not move.
+        assert batch_reactor(**{name: 0.0}).n == 2
 
     def test_state_set_default_nonnegative(self, bench_model):
         assert bench_model.x_set.contains(np.zeros(2))

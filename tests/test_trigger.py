@@ -19,8 +19,8 @@ def simulate(bench_model, t, seed=5):
     for _ in range(t):
         w = sample_disturbance(rng, bounds)
         ws.append(w)
-        ys.append(bench_model.h(x, np.zeros(0), w))
-        x = bench_model.f(x, np.zeros(0), w)
+        ys.append(bench_model.h(x, w))
+        x = bench_model.f(x, w)
     return np.array(ys), np.array(ws)
 
 
@@ -38,7 +38,7 @@ def run_silence(state, model, cert, ys):
     for k, y in enumerate(ys):
         if k:
             state = advance(state, False)
-        state = extend(state, model, y, np.zeros(model.m), cert)
+        state = extend(state, model, y, cert)
     return state
 
 
@@ -47,9 +47,9 @@ def explicit_lhs(model, cert, anchor, ys):
     prediction f^span(anchor), from the plant equations directly."""
     x, resids = anchor, []
     for y in ys:
-        r = y - model.h(x, np.zeros(0), np.zeros(model.q))
+        r = y - model.h(x, np.zeros(model.q))
         resids.append(float(r @ cert.R @ r))
-        x = model.f(x, np.zeros(0), np.zeros(model.q))
+        x = model.f(x, np.zeros(model.q))
     span = len(ys)
     return float(np.sum(cert.eta ** np.arange(span - 1, -1, -1.0)
                         * np.array(resids))), x
@@ -61,13 +61,12 @@ class TestEvaluateTrigger:
         # so the comparison can never be strictly below it.
         state = EtmState.initial(5.0, np.array([0.1, 4.5]))
         ys, _ = simulate(bench_model, 1)
-        state = extend(state, bench_model, ys[0], np.zeros(0), bench_cert)
+        state = extend(state, bench_model, ys[0], bench_cert)
         assert evaluate_trigger(state, bench_cert)
         # Equality fires too: a perfect prediction gives lhs == 0 == threshold.
         x = np.array([3.0, 1.0])
-        y = bench_model.h(x, np.zeros(0), np.zeros(3))
-        state = extend(EtmState.initial(5.0, x), bench_model, y, np.zeros(0),
-                       bench_cert)
+        y = bench_model.h(x, np.zeros(3))
+        state = extend(EtmState.initial(5.0, x), bench_model, y, bench_cert)
         assert state.lhs == 0.0 == state.threshold(bench_cert.eta)
         assert evaluate_trigger(state, bench_cert)
 
@@ -75,7 +74,7 @@ class TestEvaluateTrigger:
         state = EtmState(t=4, eps=1, d=100.0, alpha=0.0,
                          pred=np.array([2.0, 1.5]))
         ys, _ = simulate(bench_model, 4)
-        state = extend(state, bench_model, ys[3], np.zeros(0), bench_cert)
+        state = extend(state, bench_model, ys[3], bench_cert)
         assert evaluate_trigger(state, bench_cert)
 
     def test_perfect_prediction_with_margin_stays_silent(self, bench_model,
@@ -85,9 +84,9 @@ class TestEvaluateTrigger:
         x = np.array([3.0, 1.0])
         state = EtmState(t=2, eps=1, d=1.0, alpha=5.0, pred=x)
         for _ in range(3):
-            y = bench_model.h(x, np.zeros(0), np.zeros(3))
-            x = bench_model.f(x, np.zeros(0), np.zeros(3))
-            state = extend(state, bench_model, y, np.zeros(0), bench_cert)
+            y = bench_model.h(x, np.zeros(3))
+            x = bench_model.f(x, np.zeros(3))
+            state = extend(state, bench_model, y, bench_cert)
             assert state.lhs == 0.0
             assert not evaluate_trigger(state, bench_cert)
             state = advance(state, False)
@@ -102,9 +101,9 @@ class TestEvaluateTrigger:
         lhs = 0.0
         eta = bench_cert.eta
         for k, j in enumerate(range(1, 3)):
-            resid = ys[j] - bench_model.h(x, np.zeros(0), np.zeros(3))
+            resid = ys[j] - bench_model.h(x, np.zeros(3))
             lhs += eta ** (1 - k) * 1e3 * float(resid @ resid)
-            x = bench_model.f(x, np.zeros(0), np.zeros(3))
+            x = bench_model.f(x, np.zeros(3))
         threshold = 1.0 * eta ** 2 * 1e12
         state = run_silence(state, bench_model, bench_cert, ys[1:3])
         assert state.lhs == pytest.approx(lhs, rel=1e-14)
@@ -116,8 +115,7 @@ class TestEvaluateTrigger:
         # extend takes the newest measurement only, not a window since eps.
         state = EtmState.initial(5.0, np.array([0.1, 4.5]))
         with pytest.raises(TriggerError):
-            extend(state, bench_model, np.zeros((2, 1)), np.zeros(0),
-                   bench_cert)
+            extend(state, bench_model, np.zeros((2, 1)), bench_cert)
 
     @settings(max_examples=15, deadline=None)
     @given(anchor=arrays(float, 2, elements=st.floats(0.0, 10.0)),
@@ -146,7 +144,7 @@ class TestComputeD:
         t, alpha = 10, 5.0
         ys, _ = simulate(bench_model, t)
         window = MheWindow(delta=0, prior=np.array([0.1, 4.5]),
-                           measurements=ys, inputs=np.zeros((t, 0)))
+                           measurements=ys)
         sol = solve_nlp(window, bench_model, bench_cert, alpha)
         d = compute_d(sol, window, bench_cert)
         dp = sol.x_init - window.prior
@@ -160,8 +158,7 @@ class TestComputeD:
         # M_t = 10 < M and M_t = M = 30.
         ys, _ = simulate(bench_model, t)
         window = MheWindow(delta=0, prior=np.array([0.1, 4.5]),
-                           measurements=ys[-min(t, 30):],
-                           inputs=np.zeros((min(t, 30), 0)))
+                           measurements=ys[-min(t, 30):])
         sol = solve_nlp(window, bench_model, bench_cert, 5.0)
         eta, Mt = bench_cert.eta, window.horizon
         d = 0.0
@@ -175,7 +172,7 @@ class TestComputeD:
     def test_event_time_only(self, bench_model, bench_cert):
         ys, _ = simulate(bench_model, 6)
         window = MheWindow(delta=2, prior=np.array([0.1, 4.5]),
-                           measurements=ys[:4], inputs=np.zeros((6, 0)))
+                           measurements=ys[:4])
         sol = solve_nlp(window, bench_model, bench_cert, 5.0)
         with pytest.raises(TriggerError):
             compute_d(sol, window, bench_cert)
