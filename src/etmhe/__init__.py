@@ -1,9 +1,8 @@
 """Event-triggered moving horizon estimation for nonlinear systems."""
 
-from .certificate import (CertificateError, DissipationReport, IossCertificate,
-                          RgesConstants, check_dissipation,
-                          max_generalized_eigenvalue, min_horizon, rges_bound,
-                          rges_constants)
+from .certificate import (DissipationReport, IossCertificate, RgesConstants,
+                          check_dissipation, max_generalized_eigenvalue,
+                          min_horizon, rges_bound, rges_constants)
 from .harness import (BoundReport, EquivalenceReport, MetricsReport, SimConfig,
                       SimTrace, check_rges, performance_metrics,
                       run_alpha_sweep, run_closed_loop, run_closed_loop_batch,

@@ -17,19 +17,18 @@ _EIG_TOL = 1e-12
 _HORIZON_CAP = 10 ** 6
 
 
-class CertificateError(Exception):
-    """Raised for invalid certificate data or unsatisfiable horizon conditions."""
-
-
 def _check_symmetric(a: Array, name: str) -> Array:
     A = np.asarray(a, dtype=float)
     if A.ndim == 0:
         A = A.reshape(1, 1)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise CertificateError(f"{name} must be square")
+        raise ConfigurationError(f"{name} must be square")
+    # NaN compares False, so the checks below would let it through.
+    if not np.isfinite(A).all():
+        raise ConfigurationError(f"{name} must be finite")
     norm = np.linalg.norm(A)
     if np.linalg.norm(A - A.T) > _SYM_TOL * max(norm, 1e-300):
-        raise CertificateError(f"{name} is not symmetric")
+        raise ConfigurationError(f"{name} is not symmetric")
     return 0.5 * (A + A.T)
 
 
@@ -38,9 +37,9 @@ def _require_definite(a: Array, name: str, strict: bool) -> None:
     scale = max(abs(eigs[-1]), 1.0)
     if strict:
         if eigs[0] <= 0.0:
-            raise CertificateError(f"{name} must be positive definite")
+            raise ConfigurationError(f"{name} must be positive definite")
     elif eigs[0] < -_EIG_TOL * scale:
-        raise CertificateError(f"{name} must be positive semidefinite")
+        raise ConfigurationError(f"{name} must be positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -67,9 +66,9 @@ class IossCertificate:
         _require_definite(Q, "Q", strict=False)
         _require_definite(R, "R", strict=False)
         if P1.shape != P2.shape:
-            raise CertificateError("P1 and P2 must have equal shape")
+            raise ConfigurationError("P1 and P2 must have equal shape")
         if not 0.0 <= self.eta < 1.0:
-            raise CertificateError(f"eta must lie in [0, 1), got {self.eta}")
+            raise ConfigurationError(f"eta must lie in [0, 1), got {self.eta}")
         object.__setattr__(self, "P1", P1)
         object.__setattr__(self, "P2", P2)
         object.__setattr__(self, "Q", Q)
@@ -84,7 +83,7 @@ def max_generalized_eigenvalue(a: Array, b: Array) -> float:
     _require_definite(A, "A", strict=True)
     _require_definite(B, "B", strict=True)
     if A.shape != B.shape:
-        raise CertificateError("A and B must have equal shape")
+        raise ConfigurationError("A and B must have equal shape")
     # Reduce to a standard symmetric problem via B = L L^T.
     L = np.linalg.cholesky(B)
     C = np.linalg.solve(L, np.linalg.solve(L, A).T).T
@@ -110,7 +109,7 @@ def min_horizon(cert: IossCertificate) -> int:
     elif not ok(M):
         M += 1
     if M > _HORIZON_CAP:
-        raise CertificateError("no admissible horizon below cap 10^6")
+        raise ConfigurationError("no admissible horizon below cap 10^6")
     return M
 
 
@@ -128,12 +127,12 @@ class RgesConstants:
 def rges_constants(cert: IossCertificate, alpha: float, M: int) -> RgesConstants:
     """Error-bound constants for horizon M and trigger sensitivity alpha."""
     if not (math.isfinite(alpha) and alpha >= 0):
-        raise CertificateError("alpha must be finite and nonnegative")
+        raise ConfigurationError("alpha must be finite and nonnegative")
     if M < 1:
-        raise CertificateError("horizon must be at least 1")
+        raise ConfigurationError("horizon must be at least 1")
     M_min = min_horizon(cert)
     if M < M_min:
-        raise CertificateError(f"horizon {M} below minimum {M_min}")
+        raise ConfigurationError(f"horizon {M} below minimum {M_min}")
     lam = max_generalized_eigenvalue(cert.P2, cert.P1)
     rho = (4.0 * lam * cert.eta ** M) ** (1.0 / M)
     p1_eigs = np.linalg.eigvalsh(cert.P1)
@@ -181,7 +180,7 @@ def check_dissipation(cert: IossCertificate, model: SystemModel, region: Box,
     directions of the inequality are probed as well.
     """
     if not np.allclose(cert.P1, cert.P2, rtol=1e-12, atol=0.0):
-        raise CertificateError("dissipation check supports only P1 == P2")
+        raise ConfigurationError("dissipation check supports only P1 == P2")
     if n_samples < 8:
         raise ConfigurationError("need at least 8 samples")
     if region.dim != model.n or not np.all(np.isfinite(region.lower)) \

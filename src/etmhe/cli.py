@@ -10,8 +10,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .certificate import (CertificateError, IossCertificate, check_dissipation,
-                          min_horizon, rges_constants)
+from .certificate import (IossCertificate, check_dissipation, min_horizon,
+                          rges_constants)
 from .harness import (SimConfig, SimTrace, check_rges, run_alpha_sweep,
                       run_closed_loop, verify_proposition1)
 from .model import (BATCH_REACTOR_BOUNDS, Box, ConfigurationError,
@@ -32,14 +32,10 @@ def trace_columns(n: int, p: int) -> List[str]:
                "solver_iters", "solver_converged", "tx_count"])
 
 
-class ConfigFileError(Exception):
-    """Config file problem with a line-numbered message."""
-
-
 _SCHEMA = {
     "model": {"name", "k1", "k2", "tau", "x_lower", "x_upper", "w_bounds"},
     "certificate": {"P1", "P2", "Q", "R", "eta"},
-    "mhe": {"M", "alpha", "allow_short_horizon"},
+    "mhe": {"M", "alpha"},
     "sim": {"T", "x0", "xhat0", "seed"},
 }
 _REQUIRED = {
@@ -56,7 +52,7 @@ def _read_entries(path: Path) -> Dict[str, Dict[str, Tuple[str, int]]]:
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
-        raise ConfigFileError(f"{path}: {exc}") from exc
+        raise ConfigurationError(f"{path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
@@ -64,25 +60,25 @@ def _read_entries(path: Path) -> Dict[str, Dict[str, Tuple[str, int]]]:
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
             if current not in _SCHEMA:
-                raise ConfigFileError(f"{path}:{lineno}: unknown section [{current}]")
+                raise ConfigurationError(f"{path}:{lineno}: unknown section [{current}]")
             sections.setdefault(current, {})
             continue
         if "=" not in line:
-            raise ConfigFileError(f"{path}:{lineno}: expected 'key = value'")
+            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
         if current is None:
-            raise ConfigFileError(f"{path}:{lineno}: entry outside any section")
+            raise ConfigurationError(f"{path}:{lineno}: entry outside any section")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA[current]:
-            raise ConfigFileError(f"{path}:{lineno}: unknown key '{key}' in [{current}]")
+            raise ConfigurationError(f"{path}:{lineno}: unknown key '{key}' in [{current}]")
         if key in sections[current]:
-            raise ConfigFileError(f"{path}:{lineno}: duplicate key '{key}'")
+            raise ConfigurationError(f"{path}:{lineno}: duplicate key '{key}'")
         sections[current][key] = (value, lineno)
     for section, keys in _REQUIRED.items():
         if section not in sections:
-            raise ConfigFileError(f"{path}: missing section [{section}]")
+            raise ConfigurationError(f"{path}: missing section [{section}]")
         for key in keys:
             if key not in sections[section]:
-                raise ConfigFileError(f"{path}: missing key '{key}' in [{section}]")
+                raise ConfigurationError(f"{path}: missing key '{key}' in [{section}]")
     return sections
 
 
@@ -90,7 +86,7 @@ def _scalar(text: str, path, lineno) -> float:
     try:
         return float(text)
     except ValueError as exc:
-        raise ConfigFileError(f"{path}:{lineno}: bad number '{text}'") from exc
+        raise ConfigurationError(f"{path}:{lineno}: bad number '{text}'") from exc
 
 
 def _vector(text: str, path, lineno) -> np.ndarray:
@@ -101,7 +97,7 @@ def _matrix(text: str, path, lineno) -> np.ndarray:
     rows = [[_scalar(p, path, lineno) for p in row.split(",")]
             for row in text.split(";")]
     if len({len(r) for r in rows}) != 1:
-        raise ConfigFileError(f"{path}:{lineno}: ragged matrix")
+        raise ConfigurationError(f"{path}:{lineno}: ragged matrix")
     return np.array(rows)
 
 
@@ -111,18 +107,8 @@ def _int(text: str, path, lineno) -> int:
     except ValueError:
         value = _scalar(text, path, lineno)
     if not value.is_integer():
-        raise ConfigFileError(f"{path}:{lineno}: expected an integer, got '{text}'")
+        raise ConfigurationError(f"{path}:{lineno}: expected an integer, got '{text}'")
     return int(value)
-
-
-def _flag(text: str, path, lineno) -> bool:
-    if text not in ("0", "1"):
-        raise ConfigFileError(f"{path}:{lineno}: expected 0 or 1, got '{text}'")
-    return text == "1"
-
-
-def _bounds(text: str, path, lineno) -> DisturbanceBounds:
-    return DisturbanceBounds(_vector(text, path, lineno))
 
 
 def parse_config(path) -> SimConfig:
@@ -135,32 +121,33 @@ def parse_config(path) -> SimConfig:
 
     name, lineno = model_sec["name"]
     if name != "batch_reactor":
-        raise ConfigFileError(f"{path}:{lineno}: unknown model '{name}'")
+        raise ConfigurationError(f"{path}:{lineno}: unknown model '{name}'")
 
     def given(section, convert, *keys):
         """Those of keys that section sets, each parsed by convert."""
         return {key: convert(section[key][0], path, section[key][1])
                 for key in keys if key in section}
 
+    # Parse every value first: a parse error carries its own path:line.
+    model_kw = given(model_sec, _scalar, "k1", "k2", "tau")
+    w_bounds = given(model_sec, _vector, "w_bounds")
+    x_box = given(model_sec, _vector, "x_lower", "x_upper")
+    cert_kw = {**given(cert_sec, _matrix, "P1", "P2", "Q", "R"),
+               **given(cert_sec, _scalar, "eta")}
+    run_kw = {**given(mhe_sec, _int, "M"), **given(mhe_sec, _scalar, "alpha"),
+              **given(sim_sec, _int, "T", "seed"),
+              **given(sim_sec, _vector, "x0", "xhat0")}
     try:
-        model_kw = {**given(model_sec, _scalar, "k1", "k2", "tau"),
-                    **given(model_sec, _bounds, "w_bounds")}
-        model = batch_reactor(**model_kw)
-        x_box = given(model_sec, _vector, "x_lower", "x_upper")
+        bounds = (DisturbanceBounds(w_bounds["w_bounds"]) if w_bounds
+                  else BATCH_REACTOR_BOUNDS)
+        model = batch_reactor(**model_kw, w_bounds=bounds)
         model = dataclasses.replace(model, x_set=Box(
             x_box.get("x_lower", model.x_set.lower),
             x_box.get("x_upper", model.x_set.upper)))
-        cert = IossCertificate(**given(cert_sec, _matrix, "P1", "P2", "Q", "R"),
-                               **given(cert_sec, _scalar, "eta"))
-        return SimConfig(
-            model=model, cert=cert,
-            w_bounds=model_kw.get("w_bounds", BATCH_REACTOR_BOUNDS),
-            **given(mhe_sec, _int, "M"), **given(mhe_sec, _scalar, "alpha"),
-            **given(mhe_sec, _flag, "allow_short_horizon"),
-            **given(sim_sec, _int, "T", "seed"),
-            **given(sim_sec, _vector, "x0", "xhat0"))
-    except (ConfigurationError, CertificateError) as exc:
-        raise ConfigFileError(f"{path}: {exc}") from exc
+        return SimConfig(model=model, cert=IossCertificate(**cert_kw),
+                         w_bounds=bounds, **run_kw)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -196,17 +183,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    rows = run_alpha_sweep(cfg, args.alphas, args.seeds)
+    runs = run_alpha_sweep(cfg, args.alphas, args.seeds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["alpha,seed,t,gamma"]
-    for row in rows:
-        for t, g in enumerate(row.gamma):
-            lines.append(f"{_fmt(row.alpha)},{row.seed},{t},{int(g)}")
+    for run, trace in runs:
+        for t, g in enumerate(trace.gamma):
+            lines.append(f"{_fmt(run.alpha)},{run.seed},{t},{int(g)}")
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
-    for row in rows:
-        print(f"alpha={row.alpha:g} seed={row.seed} "
-              f"event_fraction={row.event_fraction:.4f}")
+    for run, trace in runs:
+        print(f"alpha={run.alpha:g} seed={run.seed} "
+              f"event_fraction={trace.event_fraction:.4f}")
     return 0
 
 
@@ -247,7 +234,7 @@ def _cmd_check_rges(args) -> int:
     trace = run_closed_loop(cfg)
     constants = rges_constants(cfg.cert, cfg.alpha, cfg.M)
     report = check_rges(trace, constants)
-    print(f"checked {report.n_checked}/{report.n_steps} steps, "
+    print(f"checked {report.n_checked}/{trace.T + 1} steps, "
           f"violations {report.n_violations}, "
           f"worst margin {report.worst_margin:.6g}")
     if report.n_violations:
@@ -325,7 +312,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigFileError, ConfigurationError, CertificateError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -5,12 +5,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .certificate import (CertificateError, IossCertificate, RgesConstants,
-                          min_horizon, rges_bound, rges_constants)
+from .certificate import (IossCertificate, RgesConstants, min_horizon,
+                          rges_bound, rges_constants)
 # assemble_event_solution, open_loop_predict and solve_nlp are not called
 # here (the closed loop and the oracle call solve_nlp_batch):
 # perfbench/tracing.py wraps these names.
@@ -232,7 +232,7 @@ def _lockstep(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
         try:
             constants = rges_constants(cert, cfg.alpha, M)
             bound = rges_bound(constants, err[k, 0], np.linalg.norm(w[k, :T], axis=1))
-        except CertificateError:
+        except ConfigurationError:
             bound = np.full(T + 1, np.nan)
         traces.append(SimTrace(x=x[k], xhat=xhat[k], y=y[k], w=w[k], gamma=gamma[k],
                                delta=delta[k], eps=eps[k], d=d[k], err_norm=err[k],
@@ -249,7 +249,6 @@ class EquivalenceReport:
 
     max_discrepancy: float
     max_cost_rel_err: float
-    n_steps: int
     n_events: int
 
 
@@ -297,39 +296,28 @@ def verify_proposition1(cfg: SimConfig) -> EquivalenceReport:
     disc = np.abs(oracle_xhat[1:] - trace.xhat[1:])
     return EquivalenceReport(max_discrepancy=float(np.max(disc, initial=0.0)),
                              max_cost_rel_err=float(np.max(cost_errs, initial=0.0)),
-                             n_steps=T, n_events=trace.n_events)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    alpha: float
-    seed: int
-    gamma: Array
-    event_fraction: float
+                             n_events=trace.n_events)
 
 
 def run_alpha_sweep(cfg: SimConfig, alphas: Sequence[float],
-                    seeds: Sequence[int]) -> List[SweepRow]:
-    """Closed-loop runs over a grid of trigger sensitivities and seeds.
+                    seeds: Sequence[int]) -> List[Tuple[SimConfig, SimTrace]]:
+    """Closed-loop runs over a grid of trigger sensitivities and seeds, as
+    (config, trace) pairs, alpha-major.
 
     Each (alpha, seed) pair replays the identical disturbance realization
     for its seed, so event counts across alpha isolate the trigger effect.
     """
     if not len(alphas) or not len(seeds):
         raise ConfigurationError("alpha and seed lists must be nonempty")
-    rows = []
+    runs = []
     for alpha in alphas:
         batch = [replace(cfg, alpha=float(alpha), seed=int(seed)) for seed in seeds]
-        for run_cfg, trace in zip(batch, run_closed_loop_batch(batch)):
-            rows.append(SweepRow(alpha=run_cfg.alpha, seed=run_cfg.seed,
-                                 gamma=trace.gamma.copy(),
-                                 event_fraction=trace.event_fraction))
-    return rows
+        runs += zip(batch, run_closed_loop_batch(batch))
+    return runs
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    n_steps: int
     n_checked: int
     n_violations: int
     violation_times: List[int]
@@ -347,7 +335,7 @@ def check_rges(trace: SimTrace, constants: RgesConstants) -> BoundReport:
     margin = trace.err_norm[checked] - bound[checked]
     # A non-finite error is a violation too.
     violations = np.flatnonzero(checked)[~(margin <= 0)].tolist()
-    return BoundReport(n_steps=trace.T + 1, n_checked=int(checked.sum()),
+    return BoundReport(n_checked=int(checked.sum()),
                        n_violations=len(violations), violation_times=violations,
                        worst_margin=float(margin.max(initial=-math.inf)))
 
@@ -359,8 +347,6 @@ class MetricsReport:
     rmse_post_et: Array
     rmse_post_std: Array
     post_rmse_ratio: float
-    event_fraction_et: float
-    event_fraction_std: float
     solve_reduction_pct: float
 
 
@@ -388,6 +374,4 @@ def performance_metrics(trace_et: SimTrace, trace_mhe: SimTrace) -> MetricsRepor
                          rmse_post_et=rmse(trace_et, cut),
                          rmse_post_std=rmse(trace_mhe, cut),
                          post_rmse_ratio=post_ratio,
-                         event_fraction_et=trace_et.event_fraction,
-                         event_fraction_std=trace_mhe.event_fraction,
                          solve_reduction_pct=reduction)

@@ -12,7 +12,7 @@ Array = np.ndarray
 
 
 class ConfigurationError(Exception):
-    """Raised for dimension mismatches and invalid model parameters."""
+    """Raised for any rejected input: config file, model, certificate, run."""
 
 
 @dataclass(frozen=True)

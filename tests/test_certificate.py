@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from etmhe import (Box, CertificateError, ConfigurationError, IossCertificate,
-                   RgesConstants, check_dissipation, max_generalized_eigenvalue,
-                   min_horizon, rges_bound, rges_constants)
+from etmhe import (Box, ConfigurationError, IossCertificate, RgesConstants,
+                   check_dissipation, max_generalized_eigenvalue, min_horizon,
+                   rges_bound, rges_constants)
 
 from conftest import ETA_BENCH, P_BENCH, Q_BENCH, R_BENCH
 
@@ -56,24 +56,35 @@ class TestIossCertificate:
     def test_rejects_asymmetric(self):
         bad = P_BENCH.copy()
         bad[0, 1] += 1.0
-        with pytest.raises(CertificateError):
+        with pytest.raises(ConfigurationError):
             IossCertificate(P1=bad, P2=P_BENCH, Q=Q_BENCH, R=R_BENCH, eta=0.9)
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(CertificateError):
+        with pytest.raises(ConfigurationError):
             IossCertificate(P1=np.zeros((2, 3)), P2=P_BENCH, Q=Q_BENCH,
                             R=R_BENCH, eta=0.9)
 
     def test_rejects_indefinite_p(self):
-        with pytest.raises(CertificateError):
+        with pytest.raises(ConfigurationError):
             IossCertificate(P1=np.diag([1.0, -1.0]), P2=np.diag([1.0, 1.0]),
                             Q=Q_BENCH, R=R_BENCH, eta=0.9)
 
     def test_rejects_bad_eta(self):
         for eta in (1.0, 1.5, -0.1):
-            with pytest.raises(CertificateError):
+            with pytest.raises(ConfigurationError):
                 IossCertificate(P1=P_BENCH, P2=P_BENCH, Q=Q_BENCH, R=R_BENCH,
                                 eta=eta)
+
+    @pytest.mark.parametrize("name", ["P1", "P2", "Q", "R"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, name, bad):
+        # NaN fails no comparison, so each weight is checked for finiteness
+        # before its symmetry and definiteness.
+        weights = {"P1": P_BENCH, "P2": P_BENCH, "Q": Q_BENCH, "R": R_BENCH}
+        weights[name] = weights[name].copy()
+        weights[name][-1, -1] = bad
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite$"):
+            IossCertificate(**weights, eta=ETA_BENCH)
 
     def test_accepts_psd_weights(self):
         cert = IossCertificate(P1=np.eye(2), P2=np.eye(2),
@@ -102,7 +113,7 @@ class TestMinHorizon:
         # lam_max = 0.2: 4 * 0.2 < 1 already, so M = 0.
         assert min_horizon(cert(0.2, 0.5)) == 0
         # The admissible horizon lies far above the cap.
-        with pytest.raises(CertificateError):
+        with pytest.raises(ConfigurationError):
             min_horizon(cert(2.0, 1.0 - 1e-9))
 
 
@@ -130,17 +141,17 @@ class TestRgesConstants:
                                        rel=1e-9)
 
     def test_rejects_short_horizon(self, bench_cert):
-        with pytest.raises(CertificateError):
+        with pytest.raises(ConfigurationError):
             rges_constants(bench_cert, alpha=5.0, M=14)
         # A certificate whose minimum horizon is 0 still needs one step.
         any_horizon = IossCertificate(P1=np.eye(2), P2=0.2 * np.eye(2),
                                       Q=np.eye(1), R=np.eye(1), eta=0.5)
         assert min_horizon(any_horizon) == 0
         for M in (0, -1):
-            with pytest.raises(CertificateError, match="at least 1"):
+            with pytest.raises(ConfigurationError, match="at least 1"):
                 rges_constants(any_horizon, alpha=5.0, M=M)
         for alpha in (-1.0, np.nan, np.inf):
-            with pytest.raises(CertificateError, match="alpha"):
+            with pytest.raises(ConfigurationError, match="alpha"):
                 rges_constants(bench_cert, alpha=alpha, M=30)
 
 
@@ -197,7 +208,7 @@ class TestDissipationCheck:
     def test_requires_matching_p(self, bench_model, bench_cert):
         cert = IossCertificate(P1=np.eye(2), P2=2.0 * np.eye(2),
                                Q=bench_cert.Q, R=bench_cert.R, eta=0.9)
-        with pytest.raises(CertificateError):
+        with pytest.raises(ConfigurationError):
             check_dissipation(cert, bench_model, self.REGION, 100,
                               np.random.default_rng(0))
 

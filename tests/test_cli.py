@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from etmhe import cli
-from etmhe.cli import (ConfigFileError, main, parse_config, trace_columns,
-                       write_trace_csv)
+from etmhe.cli import main, parse_config, trace_columns, write_trace_csv
 from etmhe.harness import EquivalenceReport, SimConfig, run_closed_loop
 from etmhe.model import (BATCH_REACTOR_BOUNDS, Box, ConfigurationError,
                          DisturbanceBounds, batch_reactor)
@@ -73,54 +72,54 @@ class TestParseConfig:
 
     def test_optional_keys_override_defaults(self, tmp_path, capsys):
         text = (GOOD.replace("tau = 0.1", "tau = 0.2")
-                .replace("x_upper = inf, inf", "x_upper = 10, inf")
-                .replace("alpha = 5", "alpha = 5\nallow_short_horizon = 1"))
+                .replace("x_upper = inf, inf", "x_upper = 10, inf"))
         cfg = parse_config(write_cfg(tmp_path, text))
         expected = dataclasses.replace(
             batch_reactor(tau=0.2), x_set=Box(np.zeros(2), np.array([10.0, np.inf])))
         assert_model_equal(cfg.model, expected)
-        assert cfg.allow_short_horizon is True
-        # The LM internals are constants, not keys.
-        path = write_cfg(tmp_path, text.replace("alpha = 5", "alpha = 5\nmax_iterations = 7"))
-        with pytest.raises(ConfigFileError, match=r"case\.cfg:\d+: unknown key 'max_iterations'"):
-            parse_config(path)
-        assert main(["simulate", "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert "case.cfg" in capsys.readouterr().err
+        # The LM internals are constants, and the short-horizon override is
+        # a SimConfig field (verify-prop1 --horizon sets it), not keys.
+        for key in ("max_iterations = 7", "allow_short_horizon = 1"):
+            path = write_cfg(tmp_path, text.replace("alpha = 5", f"alpha = 5\n{key}"))
+            name = key.split()[0]
+            with pytest.raises(ConfigurationError,
+                               match=rf"case\.cfg:\d+: unknown key '{name}'"):
+                parse_config(path)
+            assert main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert f"unknown key '{name}'" in capsys.readouterr().err
 
     def test_unknown_key_reports_line(self, tmp_path):
         path = write_cfg(tmp_path, GOOD.replace("seed = 0", "sed = 0"))
-        with pytest.raises(ConfigFileError, match=r"case\.cfg:\d+.*sed"):
+        with pytest.raises(ConfigurationError, match=r"case\.cfg:\d+.*sed"):
             parse_config(path)
 
     def test_unknown_section(self, tmp_path):
         path = write_cfg(tmp_path, GOOD + "\n[extra]\nfoo = 1\n")
-        with pytest.raises(ConfigFileError, match=r"unknown section"):
+        with pytest.raises(ConfigurationError, match=r"unknown section"):
             parse_config(path)
 
     def test_missing_required_key(self, tmp_path):
         path = write_cfg(tmp_path, GOOD.replace("eta = 0.91", ""))
-        with pytest.raises(ConfigFileError, match="eta"):
+        with pytest.raises(ConfigurationError, match="eta"):
             parse_config(path)
 
     def test_duplicate_key(self, tmp_path):
         path = write_cfg(tmp_path, GOOD.replace("T = 100", "T = 100\nT = 50"))
-        with pytest.raises(ConfigFileError, match="duplicate"):
+        with pytest.raises(ConfigurationError, match="duplicate"):
             parse_config(path)
 
     def test_bad_number(self, tmp_path):
         path = write_cfg(tmp_path, GOOD.replace("T = 100", "T = many"))
-        with pytest.raises(ConfigFileError, match="many"):
+        with pytest.raises(ConfigurationError, match="many"):
             parse_config(path)
 
     @pytest.mark.parametrize("old,new", [
         ("T = 100", "T = 100.9"), ("T = 100", "T = inf"), ("T = 100", "T = nan"),
-        ("seed = 0", "seed = 0.5"),
-        ("alpha = 5", "alpha = 5\nallow_short_horizon = 0.5"),
-        ("alpha = 5", "alpha = 5\nallow_short_horizon = 2")])
+        ("seed = 0", "seed = 0.5")])
     def test_inexact_values_rejected(self, tmp_path, capsys, old, new):
         path = write_cfg(tmp_path, GOOD.replace(old, new))
-        with pytest.raises(ConfigFileError, match=r"case\.cfg:\d+: expected"):
+        with pytest.raises(ConfigurationError, match=r"case\.cfg:\d+: expected"):
             parse_config(path)
         code = main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "out")])
@@ -132,7 +131,7 @@ class TestParseConfig:
         for key in ("max_iterations", "gradient_tolerance", "step_tolerance",
                     "initial_damping", "damping_increase", "damping_decrease"):
             path = write_cfg(tmp_path, GOOD.replace("alpha = 5", f"alpha = 5\n{key} = nan"))
-            with pytest.raises(ConfigFileError,
+            with pytest.raises(ConfigurationError,
                                match=rf"case\.cfg:\d+: unknown key '{key}'"):
                 parse_config(path)
             assert main(["simulate", "--config", str(path),
@@ -149,11 +148,11 @@ class TestParseConfig:
 
     def test_invalid_certificate_rejected(self, tmp_path):
         path = write_cfg(tmp_path, GOOD.replace("eta = 0.91", "eta = 1.5"))
-        with pytest.raises(ConfigFileError):
+        with pytest.raises(ConfigurationError):
             parse_config(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigFileError):
+        with pytest.raises(ConfigurationError):
             parse_config(tmp_path / "absent.cfg")
 
     @pytest.mark.parametrize("name", sorted(MISFITS))
@@ -163,11 +162,27 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match=f"certificate {name} is"):
             dataclasses.replace(bench_cfg, cert=cert)
         path = write_cfg(tmp_path, GOOD.replace(old, new))
-        with pytest.raises(ConfigFileError, match=rf"case\.cfg: certificate {name} is"):
+        with pytest.raises(ConfigurationError, match=rf"case\.cfg: certificate {name} is"):
             parse_config(path)
         for argv in (["min-horizon"], ["simulate", "--out", str(tmp_path / "out")]):
             assert main([argv[0], "--config", str(path), *argv[1:]]) == 2
             assert f"case.cfg: certificate {name} is" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["P1", "P2", "Q", "R"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_certificate_weight_rejected(self, tmp_path, capsys,
+                                                    name, bad):
+        # The first entry of the weight becomes bad.
+        text = re.sub(rf"^{name} = [^,\n]*", f"{name} = {bad}", GOOD, flags=re.M)
+        assert text != GOOD
+        path = write_cfg(tmp_path, text)
+        message = f"case.cfg: {name} must be finite"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            parse_config(path)
+        for argv in (["min-horizon"], ["simulate", "--out", str(tmp_path / "out")]):
+            assert main([argv[0], "--config", str(path), *argv[1:]]) == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old,new", [("k1 = 0.16", "k1 = nan"),
                                          ("k2 = 0.0064", "k2 = inf"),
@@ -175,7 +190,7 @@ class TestParseConfig:
     def test_bad_model_parameter_rejected(self, tmp_path, capsys, old, new):
         path = write_cfg(tmp_path, GOOD.replace(old, new))
         message = f"case.cfg: {new.split()[0]} must be finite and nonnegative"
-        with pytest.raises(ConfigFileError, match=re.escape(message)):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             parse_config(path)
         for argv in (["min-horizon"], ["simulate", "--out", str(tmp_path / "out")]):
             assert main([argv[0], "--config", str(path), *argv[1:]]) == 2
@@ -186,7 +201,7 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
             dataclasses.replace(bench_cfg, seed=-1)
         path = write_cfg(tmp_path, GOOD.replace("seed = 0", "seed = -1"))
-        with pytest.raises(ConfigFileError, match=r"case\.cfg: seed must be nonnegative"):
+        with pytest.raises(ConfigurationError, match=r"case\.cfg: seed must be nonnegative"):
             parse_config(path)
         assert main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
@@ -292,7 +307,7 @@ class TestCommands:
     def test_verify_prop1_exit_code(self, monkeypatch, capsys, disc, cost, code):
         # Both the discrepancy and the cost error are gated, and NaN fails.
         monkeypatch.setattr(cli, "verify_proposition1",
-                            lambda cfg: EquivalenceReport(disc, cost, cfg.T, 1))
+                            lambda cfg: EquivalenceReport(disc, cost, 1))
         assert main(["verify-prop1", "--config", str(CONFIG_PATH)]) == code
 
     def test_check_rges_nan_error_exit_code(self, tmp_path, monkeypatch, capsys):

@@ -95,8 +95,9 @@ class TestWindow:
 
 
 class TestMheConfig:
-    """The [mhe] settings M, alpha and allow_short_horizon: SimConfig checks
-    M and alpha, run_closed_loop the minimum horizon."""
+    """The [mhe] settings M and alpha and the SimConfig override
+    allow_short_horizon: SimConfig checks M and alpha, run_closed_loop the
+    minimum horizon."""
 
     def test_short_horizon_rejected(self, bench_cfg):
         cfg = dataclasses.replace(bench_cfg, M=10, T=5)
