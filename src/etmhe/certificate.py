@@ -132,7 +132,7 @@ def rges_constants(cert: IossCertificate, alpha: float, M: int) -> RgesConstants
         raise ConfigurationError("horizon must be at least 1")
     M_min = min_horizon(cert)
     if M < M_min:
-        raise ConfigurationError(f"horizon {M} below minimum {M_min}")
+        raise ConfigurationError(f"horizon {M} below stability minimum {M_min}")
     lam = max_generalized_eigenvalue(cert.P2, cert.P1)
     rho = (4.0 * lam * cert.eta ** M) ** (1.0 / M)
     p1_eigs = np.linalg.eigvalsh(cert.P1)

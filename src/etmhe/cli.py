@@ -10,8 +10,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .certificate import (IossCertificate, check_dissipation, min_horizon,
-                          rges_constants)
+from .certificate import (IossCertificate, RgesConstants, check_dissipation,
+                          min_horizon, rges_bound, rges_constants)
 from .harness import (SimConfig, SimTrace, check_rges, run_alpha_sweep,
                       run_closed_loop, verify_proposition1)
 from .model import (BATCH_REACTOR_BOUNDS, Box, ConfigurationError,
@@ -158,12 +158,15 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def write_trace_csv(trace: SimTrace, out_path: Path) -> None:
+def write_trace_csv(trace: SimTrace, constants: RgesConstants,
+                    out_path: Path) -> None:
+    """Write trace.csv; the rges_bound column is computed here from constants."""
+    bound = rges_bound(constants, trace.err_norm[0], trace.w_norms[:trace.T])
     lines = [",".join(trace_columns(trace.x.shape[1], trace.y.shape[1]))]
     for t in range(trace.T + 1):
         row = [t, *trace.x[t], *trace.xhat[t], *trace.y[t], trace.gamma[t],
                trace.delta[t], trace.eps[t], trace.d[t], trace.err_norm[t],
-               trace.bound[t], trace.solver_iters[t],
+               bound[t], trace.solver_iters[t],
                trace.solver_converged[t], trace.tx_count[t]]
         lines.append(",".join(_fmt(v) for v in row))
     out_path.write_text("\n".join(lines) + "\n")
@@ -171,10 +174,11 @@ def write_trace_csv(trace: SimTrace, out_path: Path) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
+    constants = rges_constants(cfg.cert, cfg.alpha, cfg.M)
     trace = run_closed_loop(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(trace, out_dir / "trace.csv")
+    write_trace_csv(trace, constants, out_dir / "trace.csv")
     frac = trace.event_fraction
     print(f"events {trace.n_events}/{trace.T} (fraction {frac:.4f}), "
           f"final error {trace.err_norm[-1]:.6g}")
@@ -207,7 +211,7 @@ def _cmd_verify_prop1(args) -> int:
     cfg = _load(args)
     overrides = {}
     if args.horizon is not None:
-        overrides.update(M=args.horizon, allow_short_horizon=True)
+        overrides["M"] = args.horizon
     if args.steps is not None:
         overrides["T"] = args.steps
     cfg = dataclasses.replace(cfg, **overrides)
@@ -231,8 +235,8 @@ def _cmd_check_ioss(args) -> int:
 
 def _cmd_check_rges(args) -> int:
     cfg = _load(args)
-    trace = run_closed_loop(cfg)
     constants = rges_constants(cfg.cert, cfg.alpha, cfg.M)
+    trace = run_closed_loop(cfg)
     report = check_rges(trace, constants)
     print(f"checked {report.n_checked}/{trace.T + 1} steps, "
           f"violations {report.n_violations}, "
@@ -252,10 +256,10 @@ def _ints(text: str) -> List[int]:
 
 
 def _region(text: str) -> Box:
-    """The box 'lo,hi;lo,hi;...'."""
+    """The box 'lo,hi;lo,hi;...'; a NaN bound is malformed."""
     bounds = np.array([[float(v) for v in pair.split(",")]
                        for pair in text.split(";")])
-    if bounds.shape[1:] != (2,) or np.any(bounds[:, 0] > bounds[:, 1]):
+    if bounds.shape[1:] != (2,) or not np.all(bounds[:, 0] <= bounds[:, 1]):
         raise ValueError(text)
     return Box(bounds[:, 0], bounds[:, 1])
 

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .certificate import (IossCertificate, RgesConstants, min_horizon,
-                          rges_bound, rges_constants)
+from .certificate import IossCertificate, RgesConstants, rges_bound
 # assemble_event_solution, open_loop_predict and solve_nlp are not called
 # here (the closed loop and the oracle call solve_nlp_batch):
 # perfbench/tracing.py wraps these names.
@@ -43,7 +41,6 @@ class SimConfig:
     xhat0: Array
     w_bounds: DisturbanceBounds
     seed: int = 0
-    allow_short_horizon: bool = False
 
     def __post_init__(self):
         if self.T < 1:
@@ -88,7 +85,6 @@ class SimTrace:
     eps: Array
     d: Array  # d[t] is the threshold statistic d_t; d has length T+2
     err_norm: Array
-    bound: Array
     solver_iters: Array
     solver_converged: Array
     cost: Array
@@ -129,10 +125,11 @@ def run_closed_loop(cfg: SimConfig) -> SimTrace:
     """Simulate the full plant / trigger / remote-estimator loop.
 
     Deterministic for a fixed (config, seed). Solver failures are recorded
-    in the trace and do not abort the run. A horizon below min_horizon is
-    an error unless cfg.allow_short_horizon, which turns it into a warning.
+    in the trace and do not abort the run. Any horizon M >= 1 runs: the
+    minimum horizon is a condition of the error bound (rges_constants),
+    not of the estimator.
     """
-    return _lockstep([cfg])[0]
+    return run_closed_loop_batch([cfg])[0]
 
 
 def run_closed_loop_batch(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
@@ -140,30 +137,14 @@ def run_closed_loop_batch(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
 
     The runs must share model, cert, M and T. At each step, the solves of
     all runs that fire share their rollouts (solve_nlp_batch), so each
-    trace equals its run_closed_loop trace bit for bit. The minimum-horizon
-    rule is applied once: a short horizon is an error unless every run
-    allows it, and then one warning.
+    trace equals its run_closed_loop trace bit for bit.
     """
-    return _lockstep(cfgs)
-
-
-def _lockstep(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
-    """The closed loop of run_closed_loop_batch; its warning names the line
-    that called run_closed_loop or run_closed_loop_batch."""
     if not len(cfgs):
         raise ConfigurationError("a batch needs at least one run")
     model, cert, M, T = cfgs[0].model, cfgs[0].cert, cfgs[0].M, cfgs[0].T
     if any(c.model is not model or c.cert is not cert or c.M != M or c.T != T
            for c in cfgs):
         raise ConfigurationError("the runs of a batch must share model, cert, M and T")
-    M_min = min_horizon(cert)
-    if M < M_min:
-        if not all(c.allow_short_horizon for c in cfgs):
-            raise ConfigurationError(
-                f"horizon {M} below stability minimum {M_min} "
-                "(set allow_short_horizon to override)")
-        warnings.warn(f"horizon {M} below stability minimum {M_min}",
-                      stacklevel=3)
     K = len(cfgs)
 
     # All plants in one rollout, one disturbance draw per run.
@@ -227,20 +208,12 @@ def _lockstep(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
             etm[k] = advance(etm[k], True, d_next, xhat[k, t])
 
     err = np.linalg.norm(x - xhat, axis=2)
-    traces = []
-    for k, cfg in enumerate(cfgs):
-        try:
-            constants = rges_constants(cert, cfg.alpha, M)
-            bound = rges_bound(constants, err[k, 0], np.linalg.norm(w[k, :T], axis=1))
-        except ConfigurationError:
-            bound = np.full(T + 1, np.nan)
-        traces.append(SimTrace(x=x[k], xhat=xhat[k], y=y[k], w=w[k], gamma=gamma[k],
-                               delta=delta[k], eps=eps[k], d=d[k], err_norm=err[k],
-                               bound=bound, solver_iters=iters[k],
-                               solver_converged=converged[k], cost=cost[k],
-                               tx_count=tx[k], trigger_lhs=trig_lhs[k],
-                               trigger_threshold=trig_threshold[k]))
-    return traces
+    return [SimTrace(x=x[k], xhat=xhat[k], y=y[k], w=w[k], gamma=gamma[k],
+                     delta=delta[k], eps=eps[k], d=d[k], err_norm=err[k],
+                     solver_iters=iters[k], solver_converged=converged[k],
+                     cost=cost[k], tx_count=tx[k], trigger_lhs=trig_lhs[k],
+                     trigger_threshold=trig_threshold[k])
+            for k in range(K)]
 
 
 @dataclass(frozen=True)
@@ -309,11 +282,9 @@ def run_alpha_sweep(cfg: SimConfig, alphas: Sequence[float],
     """
     if not len(alphas) or not len(seeds):
         raise ConfigurationError("alpha and seed lists must be nonempty")
-    runs = []
-    for alpha in alphas:
-        batch = [replace(cfg, alpha=float(alpha), seed=int(seed)) for seed in seeds]
-        runs += zip(batch, run_closed_loop_batch(batch))
-    return runs
+    batch = [replace(cfg, alpha=float(alpha), seed=int(seed))
+             for alpha in alphas for seed in seeds]
+    return list(zip(batch, run_closed_loop_batch(batch)))
 
 
 @dataclass(frozen=True)
@@ -342,10 +313,6 @@ def check_rges(trace: SimTrace, constants: RgesConstants) -> BoundReport:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    rmse_et: Array
-    rmse_std: Array
-    rmse_post_et: Array
-    rmse_post_std: Array
     post_rmse_ratio: float
     solve_reduction_pct: float
 
@@ -360,9 +327,6 @@ def performance_metrics(trace_et: SimTrace, trace_mhe: SimTrace) -> MetricsRepor
         raise ConfigurationError(f"a run of {trace_et.T} steps ends before the "
                                  f"post-transient cut at t = {POST_TRANSIENT_START}")
 
-    def rmse(trace, start=0):
-        return np.sqrt(np.mean((trace.x[start:] - trace.xhat[start:]) ** 2, axis=0))
-
     def overall(trace, start=0):
         return math.sqrt(float(np.mean(
             np.sum((trace.x[start:] - trace.xhat[start:]) ** 2, axis=1))))
@@ -370,8 +334,4 @@ def performance_metrics(trace_et: SimTrace, trace_mhe: SimTrace) -> MetricsRepor
     cut = POST_TRANSIENT_START
     post_ratio = overall(trace_et, cut) / max(overall(trace_mhe, cut), 1e-300)
     reduction = 100.0 * (1.0 - trace_et.n_events / max(trace_mhe.n_events, 1))
-    return MetricsReport(rmse_et=rmse(trace_et), rmse_std=rmse(trace_mhe),
-                         rmse_post_et=rmse(trace_et, cut),
-                         rmse_post_std=rmse(trace_mhe, cut),
-                         post_rmse_ratio=post_ratio,
-                         solve_reduction_pct=reduction)
+    return MetricsReport(post_rmse_ratio=post_ratio, solve_reduction_pct=reduction)

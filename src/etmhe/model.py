@@ -27,6 +27,9 @@ class Box:
         upper = np.asarray(self.upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ConfigurationError("box bounds must be 1-D arrays of equal length")
+        for name, bound in (("lower", lower), ("upper", upper)):
+            if np.any(np.isnan(bound)):
+                raise ConfigurationError(f"box {name} bound must not be NaN")
         if np.any(lower > upper):
             raise ConfigurationError("box lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lower)

@@ -7,7 +7,6 @@ runs are shared through module-scoped fixtures.
 
 import dataclasses
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -60,14 +59,10 @@ def test_criterion_2_event_rate(seed_runs):
 def test_criterion_3_oracle_equivalence(bench_cfg):
     start = time.perf_counter()
     worst_disc, worst_cost = 0.0, 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        for seed in range(5):
-            cfg = dataclasses.replace(bench_cfg, M=5, T=40, seed=seed,
-                                      allow_short_horizon=True)
-            rep = verify_proposition1(cfg)
-            worst_disc = max(worst_disc, rep.max_discrepancy)
-            worst_cost = max(worst_cost, rep.max_cost_rel_err)
+    for seed in range(5):
+        rep = verify_proposition1(dataclasses.replace(bench_cfg, M=5, T=40, seed=seed))
+        worst_disc = max(worst_disc, rep.max_discrepancy)
+        worst_cost = max(worst_cost, rep.max_cost_rel_err)
     elapsed = time.perf_counter() - start
     ok = worst_disc <= 1e-6 and worst_cost <= 1e-9 and elapsed < 60.0
     report(3, ok, f"max estimate discrepancy {worst_disc:.2e} (<= 1e-6), "

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from etmhe import cli
+from etmhe.certificate import rges_bound, rges_constants
 from etmhe.cli import main, parse_config, trace_columns, write_trace_csv
 from etmhe.harness import EquivalenceReport, SimConfig, run_closed_loop
 from etmhe.model import (BATCH_REACTOR_BOUNDS, Box, ConfigurationError,
@@ -66,7 +67,7 @@ class TestParseConfig:
         assert_model_equal(cfg.model, batch_reactor())
         np.testing.assert_array_equal(cfg.w_bounds.bounds,
                                       BATCH_REACTOR_BOUNDS.bounds)
-        assert cfg.seed == 0 and cfg.allow_short_horizon is False
+        assert cfg.seed == 0
         # The benchmark file spells out the same defaults.
         assert_model_equal(bench_cfg.model, cfg.model)
 
@@ -77,8 +78,8 @@ class TestParseConfig:
         expected = dataclasses.replace(
             batch_reactor(tau=0.2), x_set=Box(np.zeros(2), np.array([10.0, np.inf])))
         assert_model_equal(cfg.model, expected)
-        # The LM internals are constants, and the short-horizon override is
-        # a SimConfig field (verify-prop1 --horizon sets it), not keys.
+        # The LM internals are constants, and there is no short-horizon
+        # override: neither is a key.
         for key in ("max_iterations = 7", "allow_short_horizon = 1"):
             path = write_cfg(tmp_path, text.replace("alpha = 5", f"alpha = 5\n{key}"))
             name = key.split()[0]
@@ -197,6 +198,17 @@ class TestParseConfig:
             assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("side,old,new", [
+        ("lower", "x_lower = 0, 0", "x_lower = nan, 0"),
+        ("upper", "x_upper = inf, inf", "x_upper = inf, nan")])
+    def test_nan_state_bound_rejected(self, tmp_path, capsys, side, old, new):
+        # Named as the bound, not as "x0 outside the admissible state set".
+        path = write_cfg(tmp_path, GOOD.replace(old, new))
+        message = f"case.cfg: box {side} bound must not be NaN"
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_negative_seed_rejected(self, tmp_path, capsys, bench_cfg):
         with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
             dataclasses.replace(bench_cfg, seed=-1)
@@ -218,8 +230,9 @@ class TestParseConfig:
 class TestTraceCsv:
     def test_round_trip(self, tmp_path, bench_cfg):
         trace = run_closed_loop(dataclasses.replace(bench_cfg, T=20))
+        constants = rges_constants(bench_cfg.cert, bench_cfg.alpha, bench_cfg.M)
         out = tmp_path / "trace.csv"
-        write_trace_csv(trace, out)
+        write_trace_csv(trace, constants, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == ",".join(trace_columns(2, 1))
         assert lines[0] == ("t,x1,x2,xhat1,xhat2,y,gamma,delta,eps,d,err_norm,"
@@ -229,6 +242,9 @@ class TestTraceCsv:
         np.testing.assert_allclose(data["x1"], trace.x[:, 0], rtol=0)
         np.testing.assert_allclose(data["d"], trace.d[:trace.T + 1], rtol=0)
         np.testing.assert_array_equal(data["gamma"], trace.gamma)
+        np.testing.assert_array_equal(
+            data["rges_bound"],
+            rges_bound(constants, trace.err_norm[0], trace.w_norms[:trace.T]))
 
     def test_columns_follow_model_dimensions(self):
         cols = trace_columns(3, 2)
@@ -242,7 +258,7 @@ class TestTraceCsv:
                         w_bounds=DisturbanceBounds(np.array([0.01, 0.05])))
         trace = run_closed_loop(cfg)
         out = tmp_path / "trace.csv"
-        write_trace_csv(trace, out)
+        write_trace_csv(trace, rges_constants(cfg.cert, cfg.alpha, cfg.M), out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == ",".join(trace_columns(1, 1))
         assert lines[0].startswith("t,x1,xhat1,y,gamma,")
@@ -260,15 +276,26 @@ class TestCommands:
         assert code == 0
         assert capsys.readouterr().out.strip() == "15"
 
-    def test_min_horizon_of_short_horizon_config(self, tmp_path, capsys):
-        # The minimum-horizon rule belongs to a run, not to the config file.
-        cfg = write_cfg(tmp_path, GOOD.replace("M = 30", "M = 5"))
+    def test_min_horizon_of_short_horizon_config(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # The minimum horizon is a condition of the error bound, not of the
+        # estimator: the commands that compute the bound refuse a short
+        # horizon before they run the loop, the others run it.
+        cfg = write_cfg(tmp_path, GOOD.replace("M = 30", "M = 5")
+                        .replace("T = 100", "T = 20"))
         code = main(["min-horizon", "--config", str(cfg)])
         assert code == 0
         assert capsys.readouterr().out.strip() == "15"
-        assert main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert "below stability minimum 15" in capsys.readouterr().err
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "run_closed_loop", None)
+            for command in (["simulate", "--out", str(tmp_path / "out")],
+                            ["check-rges"]):
+                assert main([command[0], "--config", str(cfg), *command[1:]]) == 2
+                assert "below stability minimum 15" in capsys.readouterr().err
+        assert main(["sweep", "--config", str(cfg), "--alphas", "0,5",
+                     "--seeds", "0", "--out", str(tmp_path / "out")]) == 0
+        assert main(["verify-prop1", "--config", str(cfg)]) == 0
+        assert "discrepancy" in capsys.readouterr().out
 
     @pytest.mark.parametrize("old,new", [("M = 30", "M = 0"), ("M = 30", "M = -1"),
                                          ("alpha = 5", "alpha = -1")])
@@ -295,9 +322,8 @@ class TestCommands:
         assert len(lines) == 1 + 2 * 16
 
     def test_verify_prop1_passes(self, tmp_path, capsys):
-        with pytest.warns(UserWarning, match="below stability minimum"):
-            code = main(["verify-prop1", "--config", str(CONFIG_PATH),
-                         "--horizon", "5", "--steps", "20"])
+        code = main(["verify-prop1", "--config", str(CONFIG_PATH),
+                     "--horizon", "5", "--steps", "20"])
         assert code == 0
         assert "discrepancy" in capsys.readouterr().out
 
@@ -343,7 +369,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("command,flag,bad", [
         ("sweep", "--alphas", "5,x"), ("sweep", "--seeds", "1.5"),
-        ("check-ioss", "--region", "a,5;0,5")])
+        ("check-ioss", "--region", "a,5;0,5"),
+        ("check-ioss", "--region", "nan,5;0,5")])
     def test_malformed_list_argument_exit_code(self, capsys, command, flag, bad):
         valid = {"sweep": ["--alphas", "5", "--seeds", "0", "--out", "unused"],
                  "check-ioss": ["--samples", "5", "--region", "0,5;0,5"]}[command]

@@ -1,15 +1,14 @@
 """Window bookkeeping, cost evaluation and the least-squares solver."""
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
 
 from etmhe import (Box, ConfigurationError, IossCertificate, MheWindow,
                    SystemModel, assemble_event_solution, cost_residuals,
-                   eval_cost, open_loop_predict, rollout, run_closed_loop,
-                   run_closed_loop_batch, solve_nlp, solve_nlp_batch,
+                   eval_cost, open_loop_predict, rges_constants, rollout,
+                   run_closed_loop, solve_nlp, solve_nlp_batch,
                    sample_disturbance)
 from etmhe import mhe
 from etmhe.model import DisturbanceBounds
@@ -95,39 +94,15 @@ class TestWindow:
 
 
 class TestMheConfig:
-    """The [mhe] settings M and alpha and the SimConfig override
-    allow_short_horizon: SimConfig checks M and alpha, run_closed_loop the
-    minimum horizon."""
+    """The [mhe] settings M and alpha, checked by SimConfig. The minimum
+    horizon is a condition of the error bound only."""
 
-    def test_short_horizon_rejected(self, bench_cfg):
+    def test_short_horizon_runs(self, bench_cfg):
         cfg = dataclasses.replace(bench_cfg, M=10, T=5)
-        with pytest.raises(ConfigurationError, match="below stability minimum 15"):
-            run_closed_loop(cfg)
-
-    def test_short_horizon_override_warns(self, bench_cfg):
-        cfg = dataclasses.replace(bench_cfg, M=10, T=5, allow_short_horizon=True)
-        with pytest.warns(UserWarning, match="horizon 10 below stability minimum 15"):
-            trace = run_closed_loop(cfg)
-        assert trace.T == 5
-
-    def test_short_horizon_warning_names_caller(self, bench_cfg):
-        cfg = dataclasses.replace(bench_cfg, M=10, T=5, allow_short_horizon=True)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_closed_loop(cfg)
-        assert len(caught) == 1
-        assert caught[0].filename == __file__
-        # A batch warns once, however many runs it holds.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_closed_loop_batch([cfg, dataclasses.replace(cfg, seed=1)])
-        assert len(caught) == 1
-        assert caught[0].filename == __file__
-
-    def test_short_horizon_in_batch_needs_every_run_to_allow_it(self, bench_cfg):
-        cfg = dataclasses.replace(bench_cfg, M=10, T=5, allow_short_horizon=True)
-        with pytest.raises(ConfigurationError, match="below stability minimum 15"):
-            run_closed_loop_batch([cfg, dataclasses.replace(cfg, allow_short_horizon=False)])
+        assert run_closed_loop(cfg).T == 5
+        with pytest.raises(ConfigurationError,
+                           match="horizon 10 below stability minimum 15"):
+            rges_constants(cfg.cert, cfg.alpha, cfg.M)
 
     @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
     def test_alpha_validated(self, bench_cfg, alpha):
@@ -138,7 +113,7 @@ class TestMheConfig:
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_horizon_at_least_one(self, bench_cfg, horizon):
         with pytest.raises(ConfigurationError, match="at least 1"):
-            dataclasses.replace(bench_cfg, M=horizon, allow_short_horizon=True)
+            dataclasses.replace(bench_cfg, M=horizon)
 
     @pytest.mark.parametrize("field", ["gradient_tolerance", "step_tolerance",
                                        "cost_tolerance", "initial_damping",

@@ -28,6 +28,13 @@ class TestBox:
         with pytest.raises(ConfigurationError):
             Box(np.array([0.0, 0.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_nan_bound_rejected(self, side):
+        bounds = {"lower": np.array([0.0, 0.0]), "upper": np.array([np.inf, np.inf])}
+        bounds[side][0] = np.nan
+        with pytest.raises(ConfigurationError, match=f"box {side} bound must not be NaN"):
+            Box(**bounds)
+
 
 class TestBatchReactor:
     def test_nominal_step(self, bench_model):
