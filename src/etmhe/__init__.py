@@ -10,8 +10,8 @@ from .harness import (BoundReport, EquivalenceReport, MetricsReport, SimConfig,
 from .mhe import (MheSolution, MheWindow, assemble_event_solution,
                   cost_residuals, eval_cost, open_loop_predict, rollout,
                   solve_nlp, solve_nlp_batch)
-from .model import (Box, ConfigurationError, DisturbanceBounds, SystemModel,
-                    batch_reactor, sample_disturbance)
+from .model import (Box, ConfigurationError, SystemModel, batch_reactor,
+                    sample_disturbance)
 from .trigger import (EtmState, TriggerError, advance, compute_d, evaluate_trigger,
                       extend)
 

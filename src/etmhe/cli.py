@@ -14,8 +14,7 @@ from .certificate import (IossCertificate, RgesConstants, check_dissipation,
                           min_horizon, rges_bound, rges_constants)
 from .harness import (SimConfig, SimTrace, check_rges, run_alpha_sweep,
                       run_closed_loop, verify_proposition1)
-from .model import (BATCH_REACTOR_BOUNDS, Box, ConfigurationError,
-                    DisturbanceBounds, batch_reactor)
+from .model import BATCH_REACTOR_BOUNDS, Box, ConfigurationError, batch_reactor
 
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
@@ -101,6 +100,15 @@ def _matrix(text: str, path, lineno) -> np.ndarray:
     return np.array(rows)
 
 
+def _half_widths(text: str, path, lineno) -> Box:
+    """The box [-b, b] of the half-widths b; NaN or negative ones are rejected."""
+    b = _vector(text, path, lineno)
+    if not np.all(b >= 0):
+        raise ConfigurationError(
+            f"{path}:{lineno}: w_bounds must be nonnegative, got '{text}'")
+    return Box(-b, b)
+
+
 def _int(text: str, path, lineno) -> int:
     try:
         return int(text)
@@ -130,7 +138,7 @@ def parse_config(path) -> SimConfig:
 
     # Parse every value first: a parse error carries its own path:line.
     model_kw = given(model_sec, _scalar, "k1", "k2", "tau")
-    w_bounds = given(model_sec, _vector, "w_bounds")
+    w_bounds = given(model_sec, _half_widths, "w_bounds")
     x_box = given(model_sec, _vector, "x_lower", "x_upper")
     cert_kw = {**given(cert_sec, _matrix, "P1", "P2", "Q", "R"),
                **given(cert_sec, _scalar, "eta")}
@@ -138,8 +146,7 @@ def parse_config(path) -> SimConfig:
               **given(sim_sec, _int, "T", "seed"),
               **given(sim_sec, _vector, "x0", "xhat0")}
     try:
-        bounds = (DisturbanceBounds(w_bounds["w_bounds"]) if w_bounds
-                  else BATCH_REACTOR_BOUNDS)
+        bounds = w_bounds.get("w_bounds", BATCH_REACTOR_BOUNDS)
         model = batch_reactor(**model_kw, w_bounds=bounds)
         model = dataclasses.replace(model, x_set=Box(
             x_box.get("x_lower", model.x_set.lower),

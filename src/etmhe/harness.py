@@ -14,8 +14,7 @@ from .certificate import IossCertificate, RgesConstants, rges_bound
 # perfbench/tracing.py wraps these names.
 from .mhe import (MheSolution, MheWindow, assemble_event_solution,
                   open_loop_predict, rollout, solve_nlp, solve_nlp_batch)
-from .model import (Array, ConfigurationError, DisturbanceBounds, SystemModel,
-                    sample_disturbance)
+from .model import Array, Box, ConfigurationError, SystemModel, sample_disturbance
 from .trigger import EtmState, advance, compute_d, evaluate_trigger, extend
 
 POST_TRANSIENT_START = 30
@@ -39,7 +38,7 @@ class SimConfig:
     T: int
     x0: Array
     xhat0: Array
-    w_bounds: DisturbanceBounds
+    w_bounds: Box
     seed: int = 0
 
     def __post_init__(self):
@@ -57,8 +56,10 @@ class SimConfig:
             if (rows, cols) != (dim, dim):
                 raise ConfigurationError(f"certificate {name} is {rows}x{cols}, "
                                          f"the model needs {dim}x{dim}")
-        if self.w_bounds.bounds.shape != (self.model.q,):
+        if self.w_bounds.dim != self.model.q:
             raise ConfigurationError("w_bounds has wrong dimension")
+        if not np.all(np.isfinite((self.w_bounds.lower, self.w_bounds.upper))):
+            raise ConfigurationError("w_bounds must be finite")
         x0 = np.asarray(self.x0, dtype=float)
         xhat0 = np.asarray(self.xhat0, dtype=float)
         for name, v in (("x0", x0), ("xhat0", xhat0)):
@@ -192,7 +193,6 @@ def run_closed_loop_batch(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
                 xhat[k, t] = etm[k].pred  # f(xhat[t-1], 0), computed by extend
                 delta[k, t] = t - etm[k].eps
                 d[k, t + 1] = d[k, t]
-                etm[k] = advance(etm[k], False)
         if not problems:
             continue
         for k, (window, *_), sol in zip(fired, problems,
@@ -205,7 +205,7 @@ def run_closed_loop_batch(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
             converged[k, t] = sol.converged
             cost[k, t] = sol.cost
             last_sol[k] = sol
-            etm[k] = advance(etm[k], True, d_next, xhat[k, t])
+            etm[k] = advance(etm[k], d_next, xhat[k, t])
 
     err = np.linalg.norm(x - xhat, axis=2)
     return [SimTrace(x=x[k], xhat=xhat[k], y=y[k], w=w[k], gamma=gamma[k],

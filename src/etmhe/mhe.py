@@ -335,13 +335,13 @@ def _lm(window: MheWindow, model: SystemModel, cert: IossCertificate,
 
 
 def assemble_event_solution(prev: MheSolution, delta: int, model: SystemModel,
-                            eta: Optional[float] = None) -> MheSolution:
+                            eta: float) -> MheSolution:
     """Extend the last event's solution by delta nominal steps.
 
     Same initial window state and disturbances, zero disturbances on the
-    new steps, states continued by open-loop prediction. When the discount
-    rate eta is given, the cost is rescaled by eta^delta, which is the
-    optimal value of the extended window.
+    new steps, states continued by open-loop prediction. The cost is
+    rescaled by eta^delta, which is the optimal value of the extended
+    window.
     """
     if delta < 0:
         raise ConfigurationError("delta must be nonnegative")
@@ -353,6 +353,6 @@ def assemble_event_solution(prev: MheSolution, delta: int, model: SystemModel,
     for _ in range(delta):
         y_seq.append(model.h(x_seq[-1], np.zeros(model.q)))
         x_seq.append(open_loop_predict(model, x_seq[-1]))
-    cost = prev.cost if eta is None else prev.cost * eta ** delta
     return replace(prev, w_seq=w_ext, x_seq=np.asarray(x_seq),
-                   y_seq=np.asarray(y_seq), cost=cost, iterations=0)
+                   y_seq=np.asarray(y_seq), cost=prev.cost * eta ** delta,
+                   iterations=0)

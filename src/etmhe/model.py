@@ -84,38 +84,18 @@ class SystemModel:
             raise ConfigurationError("disturbance set must contain zero")
 
 
-@dataclass(frozen=True)
-class DisturbanceBounds:
-    """Absolute per-coordinate bounds |w_i| <= b_i for uniform sampling."""
-
-    bounds: Array
-
-    def __post_init__(self):
-        b = np.asarray(self.bounds, dtype=float)
-        if b.ndim != 1:
-            raise ConfigurationError("disturbance bounds must be a vector")
-        if not np.all(np.isfinite(b)):
-            raise ConfigurationError("disturbance bounds must be finite")
-        if np.any(b < 0):
-            raise ConfigurationError("disturbance bounds must be nonnegative")
-        object.__setattr__(self, "bounds", b)
-
-    def as_box(self) -> Box:
-        return Box(-self.bounds, self.bounds)
-
-
-def sample_disturbance(rng: np.random.Generator, bounds: DisturbanceBounds,
+def sample_disturbance(rng: np.random.Generator, box: Box,
                        size: Optional[int] = None) -> Array:
-    """One disturbance vector, or size of them, uniform on [-b_i, b_i] per coordinate."""
-    b = bounds.bounds
-    return rng.uniform(-b, b, None if size is None else (size, len(b)))
+    """One disturbance vector, or size of them, uniform on the box."""
+    return rng.uniform(box.lower, box.upper, None if size is None else (size, box.dim))
 
 
-BATCH_REACTOR_BOUNDS = DisturbanceBounds(np.array([1e-3, 1e-3, 0.1]))
+BATCH_REACTOR_BOUNDS = Box(-np.array([1e-3, 1e-3, 0.1]),
+                           np.array([1e-3, 1e-3, 0.1]))
 
 
 def batch_reactor(k1: float = 0.16, k2: float = 0.0064, tau: float = 0.1,
-                  w_bounds: DisturbanceBounds = BATCH_REACTOR_BOUNDS) -> SystemModel:
+                  w_bounds: Box = BATCH_REACTOR_BOUNDS) -> SystemModel:
     """Euler-discretized two-species batch reactor with scalar concentration output.
 
     x1+ = x1 + tau*(-2*k1*x1^2 + 2*k2*x2) + w1
@@ -140,4 +120,4 @@ def batch_reactor(k1: float = 0.16, k2: float = 0.0064, tau: float = 0.1,
 
     return SystemModel(n=2, q=3, p=1, f=f, h=h,
                        x_set=Box(np.zeros(2), np.full(2, np.inf)),
-                       w_set=w_bounds.as_box())
+                       w_set=w_bounds)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -21,13 +20,13 @@ class TriggerError(Exception):
 class EtmState:
     """Trigger bookkeeping between time steps.
 
-    t is the next time to decide; eps the last event time; d the threshold
+    t is the newest time step: ``extend`` moves it on by one and leaves the
+    state ready to decide t. eps is the last event time and d the threshold
     statistic received at eps.
     Only the estimate and d cross the channel. The plant side propagates
-    the estimate itself: pred is the nominal open-loop prediction for the
-    newest measurement y_{t-1} (for time t once ``extend`` has run), and
-    lhs the discounted residual sum since eps, updated as
-    lhs <- eta * lhs + r'Rr, so each step costs one h and one f call
+    the estimate itself: pred is the nominal open-loop prediction for time
+    t, and lhs the discounted residual sum since eps, updated by ``extend``
+    as lhs <- eta * lhs + r'Rr, so each step costs one h and one f call
     however long the silence.
     """
 
@@ -41,7 +40,7 @@ class EtmState:
     @staticmethod
     def initial(alpha: float, x0_estimate: Array) -> "EtmState":
         """State after the conventional event at time 0 with d_1 = 0."""
-        return EtmState(t=1, eps=0, d=0.0, alpha=alpha,
+        return EtmState(t=0, eps=0, d=0.0, alpha=alpha,
                         pred=np.asarray(x0_estimate, dtype=float))
 
     def threshold(self, eta: float) -> float:
@@ -51,13 +50,15 @@ class EtmState:
 
 def extend(state: EtmState, model: SystemModel, y_last: Array,
            cert: IossCertificate) -> EtmState:
-    """Fold y_{t-1} into the residual sum and move pred on to time t."""
+    """Step from time t to t + 1: fold y_t into the residual sum and move
+    pred on to t + 1, ready to decide t + 1."""
     if np.shape(y_last) != (model.p,):
         raise TriggerError("extend takes the single newest measurement")
     zero_w = np.zeros(model.q)
     resid = y_last - model.h(state.pred, zero_w)
     lhs = cert.eta * state.lhs + float(resid @ cert.R @ resid)
-    return replace(state, pred=model.f(state.pred, zero_w), lhs=lhs)
+    return replace(state, t=state.t + 1, pred=model.f(state.pred, zero_w),
+                   lhs=lhs)
 
 
 def evaluate_trigger(state: EtmState, cert: IossCertificate) -> bool:
@@ -79,19 +80,15 @@ def compute_d(solution: MheSolution, window: MheWindow,
     return float(r @ r)
 
 
-def advance(state: EtmState, gamma: bool, d_next: Optional[float] = None,
-            x_new: Optional[Array] = None) -> EtmState:
-    """Bookkeeping update after deciding gamma at time state.t."""
-    if gamma:
-        if d_next is None or x_new is None:
-            raise TriggerError("event requires d_next and the new estimate")
-        # A non-finite d or estimate would make the trigger fire on every
-        # later step; note that NaN < 0 is False.
-        if not (math.isfinite(d_next) and d_next >= 0):
-            raise TriggerError("threshold statistic must be finite and nonnegative")
-        x_new = np.asarray(x_new, dtype=float)
-        if not np.isfinite(x_new).all():
-            raise TriggerError("new estimate must be finite")
-        return EtmState(t=state.t + 1, eps=state.t, d=float(d_next),
-                        alpha=state.alpha, pred=x_new)
-    return replace(state, t=state.t + 1)
+def advance(state: EtmState, d_next: float, x_new: Array) -> EtmState:
+    """The event at time state.t: d_next and the new estimate restart the
+    residual sum."""
+    # A non-finite d or estimate would make the trigger fire on every later
+    # step; note that NaN < 0 is False.
+    if not (math.isfinite(d_next) and d_next >= 0):
+        raise TriggerError("threshold statistic must be finite and nonnegative")
+    x_new = np.asarray(x_new, dtype=float)
+    if not np.isfinite(x_new).all():
+        raise TriggerError("new estimate must be finite")
+    return EtmState(t=state.t, eps=state.t, d=float(d_next), alpha=state.alpha,
+                    pred=x_new)

@@ -10,8 +10,7 @@ from etmhe import cli
 from etmhe.certificate import rges_bound, rges_constants
 from etmhe.cli import main, parse_config, trace_columns, write_trace_csv
 from etmhe.harness import EquivalenceReport, SimConfig, run_closed_loop
-from etmhe.model import (BATCH_REACTOR_BOUNDS, Box, ConfigurationError,
-                         DisturbanceBounds, batch_reactor)
+from etmhe.model import BATCH_REACTOR_BOUNDS, Box, ConfigurationError, batch_reactor
 
 from conftest import CONFIG_PATH
 from test_mhe import scalar_cert, scalar_linear_model
@@ -56,8 +55,10 @@ class TestParseConfig:
         assert bench_cfg.cert.eta == 0.91
         np.testing.assert_allclose(bench_cfg.x0, [3.0, 1.0])
         np.testing.assert_allclose(bench_cfg.xhat0, [0.1, 4.5])
-        np.testing.assert_allclose(bench_cfg.w_bounds.bounds,
-                                   [1e-3, 1e-3, 0.1])
+        np.testing.assert_allclose(bench_cfg.w_bounds.upper, [1e-3, 1e-3, 0.1])
+        np.testing.assert_array_equal(bench_cfg.w_bounds.lower,
+                                      -bench_cfg.w_bounds.upper)
+        assert bench_cfg.model.w_set is bench_cfg.w_bounds
 
     def test_optional_keys_take_library_defaults(self, tmp_path, bench_cfg):
         optional = {"k1", "k2", "tau", "x_lower", "x_upper", "w_bounds", "seed"}
@@ -65,8 +66,7 @@ class TestParseConfig:
                          if line.split("=")[0].strip() not in optional)
         cfg = parse_config(write_cfg(tmp_path, text))
         assert_model_equal(cfg.model, batch_reactor())
-        np.testing.assert_array_equal(cfg.w_bounds.bounds,
-                                      BATCH_REACTOR_BOUNDS.bounds)
+        assert cfg.w_bounds is BATCH_REACTOR_BOUNDS
         assert cfg.seed == 0
         # The benchmark file spells out the same defaults.
         assert_model_equal(bench_cfg.model, cfg.model)
@@ -209,6 +209,20 @@ class TestParseConfig:
                      "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["-1e-3", "nan", "inf"])
+    def test_bad_w_bounds_rejected(self, tmp_path, capsys, bad):
+        # A negative or NaN half-width is rejected as it is parsed, an
+        # infinite one by SimConfig; each names w_bounds.
+        text = GOOD.replace("w_bounds = 1e-3,", f"w_bounds = {bad},")
+        assert text != GOOD
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigurationError, match=r"case\.cfg(:\d+)?: w_bounds must be"):
+            parse_config(path)
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "w_bounds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_rejected(self, tmp_path, capsys, bench_cfg):
         with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
             dataclasses.replace(bench_cfg, seed=-1)
@@ -255,7 +269,7 @@ class TestTraceCsv:
         cfg = SimConfig(model=scalar_linear_model(), cert=scalar_cert(), M=3,
                         alpha=1.0, T=12, x0=np.array([1.0]),
                         xhat0=np.array([0.0]),
-                        w_bounds=DisturbanceBounds(np.array([0.01, 0.05])))
+                        w_bounds=Box(-np.array([0.01, 0.05]), np.array([0.01, 0.05])))
         trace = run_closed_loop(cfg)
         out = tmp_path / "trace.csv"
         write_trace_csv(trace, rges_constants(cfg.cert, cfg.alpha, cfg.M), out)

@@ -5,14 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from etmhe import (Box, ConfigurationError, DisturbanceBounds, IossCertificate,
-                   MheWindow, SimConfig, SystemModel, assemble_event_solution,
-                   eval_cost, harness, run_alpha_sweep, run_closed_loop,
+from etmhe import (Box, ConfigurationError, IossCertificate, MheWindow,
+                   SimConfig, SystemModel, assemble_event_solution, eval_cost,
+                   harness, run_alpha_sweep, run_closed_loop,
                    run_closed_loop_batch, sample_disturbance, solve_nlp, trigger,
                    verify_proposition1)
 from etmhe.harness import POST_TRANSIENT_START, check_rges, performance_metrics
 from etmhe.certificate import rges_constants
 from etmhe.cli import trace_columns, write_trace_csv
+
+from test_mhe import scalar_cert, scalar_linear_model
 
 
 @pytest.fixture(scope="module")
@@ -75,16 +77,17 @@ class TestClosedLoop:
         # that extend made for the step.
         preds = {}
 
-        def recording(state, gamma, *args):
-            new = trigger.advance(state, gamma, *args)
-            if not gamma:
-                preds[state.t] = new.pred
+        def recording(state, *args):
+            new = trigger.extend(state, *args)
+            preds[new.t] = new.pred
             return new
 
-        monkeypatch.setattr(harness, "advance", recording)
+        monkeypatch.setattr(harness, "extend", recording)
         tr = run_closed_loop(short_cfg)
+        # One extend per step, each moving the clock on by one.
+        assert sorted(preds) == list(range(1, tr.T + 1))
         silent = np.flatnonzero(tr.gamma == 0).tolist()
-        assert silent and sorted(preds) == silent
+        assert silent
         for t in silent:
             np.testing.assert_array_equal(preds[t], tr.xhat[t])
 
@@ -128,7 +131,7 @@ class TestClosedLoop:
         def checked(prev_sol, prev_t, t, window):
             x_start, w_seq = warm_start(prev_sol, prev_t, t, window)
             delta = t - prev_t
-            ext = assemble_event_solution(prev_sol, delta, cfg.model)
+            ext = assemble_event_solution(prev_sol, delta, cfg.model, cfg.cert.eta)
             offset = (t - window.horizon) - (prev_t - len(prev_sol.w_seq))
             np.testing.assert_array_equal(x_start, ext.x_seq[offset])
             np.testing.assert_array_equal(w_seq, ext.w_seq[offset:])
@@ -159,9 +162,15 @@ class TestClosedLoop:
 
     def test_w_bounds_dimension_checked(self, bench_cfg):
         for bounds in ([1e-3, 1e-3], [1e-3, 1e-3, 0.1, 0.1]):
-            with pytest.raises(ConfigurationError, match="^w_bounds "):
-                dataclasses.replace(bench_cfg,
-                                    w_bounds=DisturbanceBounds(np.array(bounds)))
+            b = np.array(bounds)
+            with pytest.raises(ConfigurationError, match="^w_bounds has wrong"):
+                dataclasses.replace(bench_cfg, w_bounds=Box(-b, b))
+
+    def test_w_bounds_must_be_finite(self, bench_cfg):
+        b = np.array([1e-3, 1e-3, 0.1])
+        for lower, upper in ((-b, [1e-3, np.inf, 0.1]), ([-np.inf, -1e-3, -0.1], b)):
+            with pytest.raises(ConfigurationError, match="^w_bounds must be finite"):
+                dataclasses.replace(bench_cfg, w_bounds=Box(lower, upper))
 
     def test_zero_horizon_rejected(self, bench_cfg):
         with pytest.raises(ConfigurationError, match="horizon must be at least 1"):
@@ -194,10 +203,10 @@ def linear_3x2_cfg():
     cert = IossCertificate(P1=np.eye(3), P2=np.eye(3),
                            Q=np.diag([2.0, 2.0, 2.0, 1.0, 1.0]), R=np.eye(2),
                            eta=0.5)
+    b = np.array([0.01, 0.01, 0.01, 0.05, 0.05])
     return SimConfig(model=linear_model_3x2(), cert=cert, M=4, alpha=5.0,
                      T=30, x0=np.array([1.0, -1.0, 2.0]), xhat0=np.zeros(3),
-                     w_bounds=DisturbanceBounds(np.array([0.01, 0.01, 0.01,
-                                                          0.05, 0.05])))
+                     w_bounds=Box(-b, b))
 
 
 class TestOtherShape:
@@ -454,10 +463,33 @@ class TestPerfectInformation:
     def test_zero_noise_zero_initial_error(self, bench_cfg):
         cfg = dataclasses.replace(
             bench_cfg, T=30, xhat0=np.array([3.0, 1.0]),
-            w_bounds=DisturbanceBounds(np.zeros(3)))
+            w_bounds=Box(np.zeros(3), np.zeros(3)))
         trace = run_closed_loop(cfg)
         assert np.max(trace.err_norm) <= 1e-8
 
+
+
+class TestLongSilence:
+    @pytest.mark.parametrize("alpha,first", [(5.0, 1069), (1e300, 1076)])
+    def test_silence_ends_when_threshold_underflows(self, alpha, first):
+        # x+ = w with no disturbance: the event at t = 1 makes the estimate
+        # exact, so the residual sum stays exactly 0 and the silence lasts
+        # until eta^(t - eps) in the threshold alpha * eta^(t - eps) * d
+        # underflows to 0, where equality fires. Any warning on the way is
+        # an error under the suite's filter.
+        cfg = SimConfig(model=scalar_linear_model(a=0.0), cert=scalar_cert(eta=0.5),
+                        M=3, alpha=alpha, T=1200, x0=np.array([1.0]),
+                        xhat0=np.array([0.0]), w_bounds=Box(np.zeros(2), np.zeros(2)))
+        tr = run_closed_loop(cfg)
+        assert np.all(np.isfinite(tr.xhat))
+        events = np.flatnonzero(tr.gamma[1:]) + 1
+        assert events[:2].tolist() == [1, first]
+        assert np.all(tr.trigger_lhs[2:first + 1] == 0.0)
+        assert tr.trigger_threshold[first - 1] > 0.0 and tr.gamma[first - 1] == 0
+        assert tr.trigger_threshold[first] == 0.0 and tr.gamma[first] == 1
+        if alpha == 5.0:
+            # The last silent step sits on the smallest subnormal.
+            assert tr.trigger_threshold[first - 1] == 5e-324
 
 class TestEventOptimality:
     @pytest.mark.parametrize("alpha", [0.0, 5.0])

@@ -11,7 +11,7 @@ from etmhe import (Box, ConfigurationError, IossCertificate, MheWindow,
                    run_closed_loop, solve_nlp, solve_nlp_batch,
                    sample_disturbance)
 from etmhe import mhe
-from etmhe.model import DisturbanceBounds
+from etmhe.model import BATCH_REACTOR_BOUNDS
 
 
 def scalar_linear_model(a=0.9):
@@ -36,11 +36,10 @@ def scalar_cert(eta=0.9):
 def bench_window(bench_model, bench_cert, t=10, seed=5):
     """A realistic event-time window from a short plant simulation."""
     rng = np.random.default_rng(seed)
-    bounds = DisturbanceBounds(np.array([1e-3, 1e-3, 0.1]))
     x = np.array([3.0, 1.0])
     ys, ws, xs = [], [], [x]
     for _ in range(t):
-        w = sample_disturbance(rng, bounds)
+        w = sample_disturbance(rng, BATCH_REACTOR_BOUNDS)
         ws.append(w)
         ys.append(bench_model.h(x, w))
         x = bench_model.f(x, w)
@@ -392,7 +391,7 @@ class TestAssembledSolution:
     def test_open_loop_extension(self, bench_model, bench_cert):
         window, _, _ = bench_window(bench_model, bench_cert)
         sol = solve_nlp(window, bench_model, bench_cert, 5.0)
-        ext = assemble_event_solution(sol, 3, bench_model, eta=bench_cert.eta)
+        ext = assemble_event_solution(sol, 3, bench_model, bench_cert.eta)
         assert len(ext.x_seq) == len(sol.x_seq) + 3
         assert len(ext.w_seq) == len(sol.w_seq) + 3
         np.testing.assert_array_equal(ext.w_seq[-3:], 0.0)
@@ -401,17 +400,14 @@ class TestAssembledSolution:
             x = open_loop_predict(bench_model, x)
             np.testing.assert_allclose(ext.x_seq[len(sol.x_seq) + k], x)
         assert ext.cost == pytest.approx(sol.cost * bench_cert.eta ** 3)
-        # Without eta the cost is carried over unchanged.
-        same = assemble_event_solution(sol, 3, bench_model)
-        assert same.cost == sol.cost
 
     def test_zero_delta_is_identity(self, bench_model, bench_cert):
         window, _, _ = bench_window(bench_model, bench_cert)
         sol = solve_nlp(window, bench_model, bench_cert, 5.0)
-        assert assemble_event_solution(sol, 0, bench_model) is sol
+        assert assemble_event_solution(sol, 0, bench_model, bench_cert.eta) is sol
 
     def test_input_validation(self, bench_model, bench_cert):
         window, _, _ = bench_window(bench_model, bench_cert)
         sol = solve_nlp(window, bench_model, bench_cert, 5.0)
         with pytest.raises(ConfigurationError):
-            assemble_event_solution(sol, -1, bench_model)
+            assemble_event_solution(sol, -1, bench_model, bench_cert.eta)

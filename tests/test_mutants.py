@@ -12,7 +12,8 @@ import types
 import numpy as np
 import pytest
 
-from etmhe import EtmState, harness, mhe, run_closed_loop_batch, trigger
+from etmhe import (EtmState, harness, mhe, run_closed_loop, run_closed_loop_batch,
+                   trigger)
 
 import test_acceptance
 import test_harness
@@ -130,3 +131,19 @@ def test_d_without_discount(bench_model, bench_cert, monkeypatch):
     monkeypatch.setattr(trigger, "cost_residuals", undiscounted)
     with pytest.raises(AssertionError):
         check(bench_model, bench_cert, 40)
+
+
+def test_clock_left_unmoved(bench_cfg, monkeypatch):
+    """An extend that leaves t unchanged fails the recorded trigger decision
+    of test_harness (threshold alpha * eta^(t - eps) * d)."""
+    check = test_harness.TestClosedLoop().test_trigger_decision_recorded
+    cfg = dataclasses.replace(bench_cfg, T=40)
+    check(cfg, run_closed_loop(cfg))
+    real = trigger.extend
+
+    def frozen_clock(state, *args):
+        return dataclasses.replace(real(state, *args), t=state.t)
+
+    monkeypatch.setattr(harness, "extend", frozen_clock)
+    with pytest.raises(AssertionError):
+        check(cfg, run_closed_loop(cfg))

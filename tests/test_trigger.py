@@ -8,16 +8,15 @@ from hypothesis.extra.numpy import arrays
 
 from etmhe import (EtmState, MheWindow, TriggerError, advance, compute_d,
                    evaluate_trigger, extend, sample_disturbance, solve_nlp)
-from etmhe.model import DisturbanceBounds
+from etmhe.model import BATCH_REACTOR_BOUNDS
 
 
 def simulate(bench_model, t, seed=5):
     rng = np.random.default_rng(seed)
-    bounds = DisturbanceBounds(np.array([1e-3, 1e-3, 0.1]))
     x = np.array([3.0, 1.0])
     ys, ws = [], []
     for _ in range(t):
-        w = sample_disturbance(rng, bounds)
+        w = sample_disturbance(rng, BATCH_REACTOR_BOUNDS)
         ws.append(w)
         ys.append(bench_model.h(x, w))
         x = bench_model.f(x, w)
@@ -27,17 +26,28 @@ def simulate(bench_model, t, seed=5):
 class TestInitialState:
     def test_defaults(self):
         state = EtmState.initial(5.0, np.array([0.1, 4.5]))
-        assert (state.t, state.eps, state.d) == (1, 0, 0.0)
+        assert (state.t, state.eps, state.d) == (0, 0, 0.0)
         assert state.lhs == 0.0
         np.testing.assert_array_equal(state.pred, [0.1, 4.5])
 
 
+class TestExtend:
+    def test_silence_moves_the_clock_and_keeps_d(self, bench_model, bench_cert):
+        pred = np.array([2.5, 1.2])
+        state = EtmState(t=7, eps=3, d=2.0, alpha=5.0, pred=pred, lhs=3.0)
+        y = np.array([3.9])
+        new = extend(state, bench_model, y, bench_cert)
+        # The silence t - eps grows by one step; eps and d stay.
+        assert (new.t, new.eps, new.d) == (8, 3, 2.0)
+        resid = y - bench_model.h(pred, np.zeros(3))
+        assert new.lhs == bench_cert.eta * 3.0 + float(resid @ bench_cert.R @ resid)
+        np.testing.assert_array_equal(new.pred, bench_model.f(pred, np.zeros(3)))
+
+
 def run_silence(state, model, cert, ys):
     """Feed ys to the trigger as consecutive silent steps; the state after
-    the last extend is ready for the decision at time eps + len(ys)."""
-    for k, y in enumerate(ys):
-        if k:
-            state = advance(state, False)
+    the last extend is ready for the decision at time t + len(ys)."""
+    for y in ys:
         state = extend(state, model, y, cert)
     return state
 
@@ -71,7 +81,7 @@ class TestEvaluateTrigger:
         assert evaluate_trigger(state, bench_cert)
 
     def test_alpha_zero_always_fires(self, bench_model, bench_cert):
-        state = EtmState(t=4, eps=1, d=100.0, alpha=0.0,
+        state = EtmState(t=3, eps=1, d=100.0, alpha=0.0,
                          pred=np.array([2.0, 1.5]))
         ys, _ = simulate(bench_model, 4)
         state = extend(state, bench_model, ys[3], bench_cert)
@@ -82,20 +92,19 @@ class TestEvaluateTrigger:
         # Residuals are exactly zero when the anchor reproduces the plant
         # and there is no measurement noise; any positive threshold wins.
         x = np.array([3.0, 1.0])
-        state = EtmState(t=2, eps=1, d=1.0, alpha=5.0, pred=x)
+        state = EtmState(t=1, eps=1, d=1.0, alpha=5.0, pred=x)
         for _ in range(3):
             y = bench_model.h(x, np.zeros(3))
             x = bench_model.f(x, np.zeros(3))
             state = extend(state, bench_model, y, bench_cert)
             assert state.lhs == 0.0
             assert not evaluate_trigger(state, bench_cert)
-            state = advance(state, False)
 
     def test_residual_accumulation_matches_hand_sum(self, bench_model,
                                                     bench_cert):
         # One discounted term per step since the last event, oldest first.
         anchor = np.array([2.5, 1.2])
-        state = EtmState(t=2, eps=1, d=1e12, alpha=1.0, pred=anchor)
+        state = EtmState(t=1, eps=1, d=1e12, alpha=1.0, pred=anchor)
         ys, _ = simulate(bench_model, 3)
         x = anchor
         lhs = 0.0
@@ -126,7 +135,7 @@ class TestEvaluateTrigger:
         # Long enough for eta**span to underflow at eta = 0.91, where the
         # threshold is 0 and the step must fire.
         ys = np.random.default_rng(seed).uniform(0.0, 5.0, (span, 1))
-        state = EtmState(t=1, eps=0, d=1e3, alpha=5.0, pred=anchor)
+        state = EtmState(t=0, eps=0, d=1e3, alpha=5.0, pred=anchor)
         state = run_silence(state, bench_model, bench_cert, ys)
         lhs, pred = explicit_lhs(bench_model, bench_cert, anchor, ys)
         assert state.t - state.eps == span
@@ -182,34 +191,25 @@ class TestAdvance:
     def test_event_resets_bookkeeping(self):
         state = EtmState(t=7, eps=3, d=2.0, alpha=5.0,
                          pred=np.zeros(2), lhs=3.0)
-        new = advance(state, True, d_next=0.5, x_new=np.array([1.0, 2.0]))
-        assert (new.t, new.eps, new.d) == (8, 7, 0.5)
+        new = advance(state, d_next=0.5, x_new=np.array([1.0, 2.0]))
+        # The event is at t; the next extend moves the clock on.
+        assert (new.t, new.eps, new.d) == (7, 7, 0.5)
         assert new.lhs == 0.0
         np.testing.assert_array_equal(new.pred, [1.0, 2.0])
-
-    def test_silence_increments_delta_and_keeps_d(self):
-        state = EtmState(t=7, eps=3, d=2.0, alpha=5.0,
-                         pred=np.zeros(2), lhs=3.0)
-        new = advance(state, False)
-        # The silence t - eps grows by one step; d and the residual sum stay.
-        assert (new.t, new.eps, new.d, new.lhs) == (8, 3, 2.0, 3.0)
-        np.testing.assert_array_equal(new.pred, state.pred)
 
     def test_event_requires_payload(self):
         state = EtmState.initial(5.0, np.zeros(2))
         with pytest.raises(TriggerError):
-            advance(state, True)
-        with pytest.raises(TriggerError):
-            advance(state, True, d_next=-1.0, x_new=np.zeros(2))
+            advance(state, d_next=-1.0, x_new=np.zeros(2))
 
     @pytest.mark.parametrize("d_next", [np.nan, np.inf])
     def test_non_finite_threshold_rejected(self, d_next):
         state = EtmState.initial(5.0, np.zeros(2))
         with pytest.raises(TriggerError):
-            advance(state, True, d_next=d_next, x_new=np.zeros(2))
+            advance(state, d_next=d_next, x_new=np.zeros(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_estimate_rejected(self, bad):
         state = EtmState.initial(5.0, np.zeros(2))
         with pytest.raises(TriggerError):
-            advance(state, True, d_next=0.5, x_new=np.array([1.0, bad]))
+            advance(state, d_next=0.5, x_new=np.array([1.0, bad]))
