@@ -31,20 +31,6 @@ def trace_columns(n: int, p: int) -> List[str]:
                "solver_iters", "solver_converged", "tx_count"])
 
 
-_SCHEMA = {
-    "model": {"name", "k1", "k2", "tau", "x_lower", "x_upper", "w_bounds"},
-    "certificate": {"P1", "P2", "Q", "R", "eta"},
-    "mhe": {"M", "alpha"},
-    "sim": {"T", "x0", "xhat0", "seed"},
-}
-_REQUIRED = {
-    "model": {"name"},
-    "certificate": {"P1", "P2", "Q", "R", "eta"},
-    "mhe": {"M", "alpha"},
-    "sim": {"T", "x0", "xhat0"},
-}
-
-
 def _read_entries(path: Path) -> Dict[str, Dict[str, Tuple[str, int]]]:
     sections: Dict[str, Dict[str, Tuple[str, int]]] = {}
     current = None
@@ -72,11 +58,11 @@ def _read_entries(path: Path) -> Dict[str, Dict[str, Tuple[str, int]]]:
         if key in sections[current]:
             raise ConfigurationError(f"{path}:{lineno}: duplicate key '{key}'")
         sections[current][key] = (value, lineno)
-    for section, keys in _REQUIRED.items():
+    for section, keys in _SCHEMA.items():
         if section not in sections:
             raise ConfigurationError(f"{path}: missing section [{section}]")
-        for key in keys:
-            if key not in sections[section]:
+        for key, (_, required) in keys.items():
+            if required and key not in sections[section]:
                 raise ConfigurationError(f"{path}: missing key '{key}' in [{section}]")
     return sections
 
@@ -119,64 +105,77 @@ def _int(text: str, path, lineno) -> int:
     return int(value)
 
 
+def _model_name(text: str, path, lineno) -> str:
+    if text != "batch_reactor":
+        raise ConfigurationError(f"{path}:{lineno}: unknown model '{text}'")
+    return text
+
+
+# The config format: each section's keys in parse order, each with its
+# parser and whether the file must set it. Of several missing keys or bad
+# values, the first in this order is reported.
+_SCHEMA = {
+    "model": {"name": (_model_name, True), "k1": (_scalar, False),
+              "k2": (_scalar, False), "tau": (_scalar, False),
+              "w_bounds": (_half_widths, False), "x_lower": (_vector, False),
+              "x_upper": (_vector, False)},
+    "certificate": {"P1": (_matrix, True), "P2": (_matrix, True),
+                    "Q": (_matrix, True), "R": (_matrix, True),
+                    "eta": (_scalar, True)},
+    "mhe": {"M": (_int, True), "alpha": (_scalar, True)},
+    "sim": {"T": (_int, True), "seed": (_int, False), "x0": (_vector, True),
+            "xhat0": (_vector, True)},
+}
+
+
 def parse_config(path) -> SimConfig:
     """Parse and validate a simulation config file. Optional keys that the
     file leaves out keep the defaults of the library."""
     path = Path(path)
     sections = _read_entries(path)
-    model_sec, cert_sec = sections["model"], sections["certificate"]
-    mhe_sec, sim_sec = sections["mhe"], sections["sim"]
-
-    name, lineno = model_sec["name"]
-    if name != "batch_reactor":
-        raise ConfigurationError(f"{path}:{lineno}: unknown model '{name}'")
-
-    def given(section, convert, *keys):
-        """Those of keys that section sets, each parsed by convert."""
-        return {key: convert(section[key][0], path, section[key][1])
-                for key in keys if key in section}
-
     # Parse every value first: a parse error carries its own path:line.
-    model_kw = given(model_sec, _scalar, "k1", "k2", "tau")
-    w_bounds = given(model_sec, _half_widths, "w_bounds")
-    x_box = given(model_sec, _vector, "x_lower", "x_upper")
-    cert_kw = {**given(cert_sec, _matrix, "P1", "P2", "Q", "R"),
-               **given(cert_sec, _scalar, "eta")}
-    run_kw = {**given(mhe_sec, _int, "M"), **given(mhe_sec, _scalar, "alpha"),
-              **given(sim_sec, _int, "T", "seed"),
-              **given(sim_sec, _vector, "x0", "xhat0")}
+    values = {}
+    for section, keys in _SCHEMA.items():
+        entries = sections[section]
+        values[section] = {key: parse(entries[key][0], path, entries[key][1])
+                           for key, (parse, _) in keys.items() if key in entries}
+    model_kw = values["model"]
+    del model_kw["name"]
+    bounds = model_kw.pop("w_bounds", BATCH_REACTOR_BOUNDS)
+    x_lower, x_upper = model_kw.pop("x_lower", None), model_kw.pop("x_upper", None)
     try:
-        bounds = w_bounds.get("w_bounds", BATCH_REACTOR_BOUNDS)
         model = batch_reactor(**model_kw, w_bounds=bounds)
         model = dataclasses.replace(model, x_set=Box(
-            x_box.get("x_lower", model.x_set.lower),
-            x_box.get("x_upper", model.x_set.upper)))
-        return SimConfig(model=model, cert=IossCertificate(**cert_kw),
-                         w_bounds=bounds, **run_kw)
+            model.x_set.lower if x_lower is None else x_lower,
+            model.x_set.upper if x_upper is None else x_upper))
+        return SimConfig(model=model, cert=IossCertificate(**values["certificate"]),
+                         w_bounds=bounds, **values["mhe"], **values["sim"])
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     return format(float(value), ".17g")
+
+
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """Write a header line and one line per row, each value through _fmt."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_trace_csv(trace: SimTrace, constants: RgesConstants,
                     out_path: Path) -> None:
     """Write trace.csv; the rges_bound column is computed here from constants."""
     bound = rges_bound(constants, trace.err_norm[0], trace.w_norms[:trace.T])
-    lines = [",".join(trace_columns(trace.x.shape[1], trace.y.shape[1]))]
-    for t in range(trace.T + 1):
-        row = [t, *trace.x[t], *trace.xhat[t], *trace.y[t], trace.gamma[t],
-               trace.delta[t], trace.eps[t], trace.d[t], trace.err_norm[t],
-               bound[t], trace.solver_iters[t],
-               trace.solver_converged[t], trace.tx_count[t]]
-        lines.append(",".join(_fmt(v) for v in row))
-    out_path.write_text("\n".join(lines) + "\n")
+    rows = ([t, *trace.x[t], *trace.xhat[t], *trace.y[t], trace.gamma[t],
+             trace.delta[t], trace.eps[t], trace.d[t], trace.err_norm[t],
+             bound[t], trace.solver_iters[t], trace.solver_converged[t],
+             trace.tx_count[t]] for t in range(trace.T + 1))
+    _write_csv(out_path, trace_columns(trace.x.shape[1], trace.y.shape[1]), rows)
 
 
 def _cmd_simulate(args) -> int:
@@ -197,11 +196,9 @@ def _cmd_sweep(args) -> int:
     runs = run_alpha_sweep(cfg, args.alphas, args.seeds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["alpha,seed,t,gamma"]
-    for run, trace in runs:
-        for t, g in enumerate(trace.gamma):
-            lines.append(f"{_fmt(run.alpha)},{run.seed},{t},{int(g)}")
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out_dir / "sweep.csv", ["alpha", "seed", "t", "gamma"],
+               ((run.alpha, run.seed, t, g) for run, trace in runs
+                for t, g in enumerate(trace.gamma.tolist())))
     for run, trace in runs:
         print(f"alpha={run.alpha:g} seed={run.seed} "
               f"event_fraction={trace.event_fraction:.4f}")
@@ -216,12 +213,6 @@ def _cmd_min_horizon(args) -> int:
 
 def _cmd_verify_prop1(args) -> int:
     cfg = _load(args)
-    overrides = {}
-    if args.horizon is not None:
-        overrides["M"] = args.horizon
-    if args.steps is not None:
-        overrides["T"] = args.steps
-    cfg = dataclasses.replace(cfg, **overrides)
     report = verify_proposition1(cfg)
     print(f"max estimate discrepancy {report.max_discrepancy:.3e}, "
           f"max cost relative error {report.max_cost_rel_err:.3e}")
@@ -272,10 +263,11 @@ def _region(text: str) -> Box:
 
 
 def _load(args) -> SimConfig:
+    """The config file's SimConfig, with the fields that flags set replaced."""
     cfg = parse_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
+    overrides = {key: getattr(args, key) for key in ("seed", "M", "T")
+                 if getattr(args, key, None) is not None}
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-prop1", _cmd_verify_prop1,
             help="compare event-triggered execution with an always-solve oracle")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--horizon", dest="M", type=int, default=None)
+    p.add_argument("--steps", dest="T", type=int, default=None)
 
     p = add("check-ioss", _cmd_check_ioss,
             help="sampled dissipation-inequality check")

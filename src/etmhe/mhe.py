@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,8 +43,13 @@ class MheWindow:
         meas = np.asarray(self.measurements, dtype=float)
         if meas.ndim != 2:
             raise ConfigurationError("measurements must be 2-D, one row per step")
-        if self.delta < 0:
-            raise ConfigurationError("delta must be nonnegative")
+        try:
+            valid = operator.index(self.delta) >= 0
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ConfigurationError(
+                f"delta must be nonnegative and integral, got {self.delta!r}")
         for name, v in (("prior", prior), ("measurements", meas)):
             if not np.isfinite(v).all():
                 raise ConfigurationError(f"window {name} must be finite")
@@ -117,6 +123,8 @@ def cost_residuals(window: MheWindow, cert: IossCertificate, alpha: float):
     meas = window.measurements
     if meas.shape[1] != len(Ur):
         raise ConfigurationError("measurements do not match the output dimension")
+    if window.prior.shape != (len(Up),):
+        raise ConfigurationError("prior does not match the state dimension")
 
     def residuals(x_init: Array, w_seq: Array, y_seq: Array) -> Array:
         batch = np.shape(x_init)[:-1]
@@ -269,6 +277,8 @@ def _lm(window: MheWindow, model: SystemModel, cert: IossCertificate,
                             np.asarray(warm_start[1], float).ravel()])
         if z.shape != (nz,):
             raise ConfigurationError("warm start has wrong dimensions")
+        if not np.isfinite(z).all():
+            raise ConfigurationError("warm start must be finite")
     else:
         z = np.concatenate([window.prior, np.zeros(Mt * q)])
     z = np.clip(z, lo, hi)

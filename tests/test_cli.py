@@ -1,7 +1,11 @@
 """Config parsing, CSV output and command-line entry points."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +108,24 @@ class TestParseConfig:
         path = write_cfg(tmp_path, GOOD.replace("eta = 0.91", ""))
         with pytest.raises(ConfigurationError, match="eta"):
             parse_config(path)
+
+    def test_first_missing_key_is_fixed_by_schema_order(self, tmp_path):
+        # The key named does not depend on Python's per-process string hash.
+        text = GOOD
+        for key in ("P1", "Q", "R", "eta"):
+            text = re.sub(rf"^{key} = .*$", "", text, flags=re.M)
+        path = write_cfg(tmp_path, text)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        results = set()
+        for hash_seed in ("0", "1", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run(
+                [sys.executable, "-m", "etmhe.cli", "min-horizon", "--config", str(path)],
+                capture_output=True, text=True, env=env, timeout=60)
+            results.add((done.returncode, done.stderr))
+        assert results == {(2, f"error: {path}: missing key 'P1' in [certificate]\n")}
 
     def test_duplicate_key(self, tmp_path):
         path = write_cfg(tmp_path, GOOD.replace("T = 100", "T = 100\nT = 50"))

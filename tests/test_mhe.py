@@ -60,6 +60,15 @@ class TestWindow:
         with pytest.raises(ConfigurationError, match="delta must be nonnegative"):
             MheWindow(delta=-1, prior=np.zeros(2), measurements=np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("delta", [1.5, 2.0, "2"])
+    def test_non_integral_delta_rejected(self, delta):
+        # Rejected here, not as a slice error inside the solve.
+        with pytest.raises(ConfigurationError,
+                           match="delta must be nonnegative and integral"):
+            MheWindow(delta=delta, prior=np.zeros(2), measurements=np.zeros((3, 1)))
+        assert MheWindow(delta=np.int64(2), prior=np.zeros(2),
+                         measurements=np.zeros((3, 1))).horizon == 5
+
     def test_one_dimensional_measurements_rejected(self):
         with pytest.raises(ConfigurationError, match="2-D"):
             MheWindow(delta=0, prior=np.zeros(2), measurements=np.zeros(3))
@@ -81,6 +90,12 @@ class TestWindow:
         window = MheWindow(delta=0, prior=np.zeros(2), measurements=np.zeros((3, 2)))
         with pytest.raises(ConfigurationError, match="output dimension"):
             cost_residuals(window, bench_cert, 5.0)
+
+    def test_state_dimension_checked(self, bench_model, bench_cert):
+        # Rejected by name, not as a broadcast error inside the solve.
+        window = MheWindow(delta=0, prior=np.zeros(3), measurements=np.zeros((3, 1)))
+        with pytest.raises(ConfigurationError, match="state dimension"):
+            solve_nlp(window, bench_model, bench_cert, 5.0)
 
     @pytest.mark.parametrize("field", ["prior", "measurements"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -286,6 +301,16 @@ class TestSolver:
         with pytest.raises(ConfigurationError):
             solve_nlp(window, bench_model, bench_cert, 5.0,
                       warm_start=(np.zeros(2), np.zeros((3, 3))))
+
+    @pytest.mark.parametrize("part", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_warm_start_rejected(self, bench_model, bench_cert,
+                                            part, bad):
+        window, xs, ws = bench_window(bench_model, bench_cert)
+        warm = [xs[0].copy(), ws.copy()]
+        warm[part].flat[1] = bad
+        with pytest.raises(ConfigurationError, match="warm start must be finite"):
+            solve_nlp(window, bench_model, bench_cert, 5.0, warm_start=tuple(warm))
 
     def test_trajectory_is_rollout_of_solution(self, bench_model, bench_cert):
         window, _, _ = bench_window(bench_model, bench_cert)
