@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Box, ConfigurationError, SystemModel
+from .model import Box, ConfigurationError, SystemModel, require_integer
 
 Array = np.ndarray
 
@@ -115,19 +115,18 @@ def min_horizon(cert: IossCertificate) -> int:
 
 @dataclass(frozen=True)
 class RgesConstants:
-    """Gains and per-step decay rate lam = sqrt(rho) of the exponential
-    estimation-error bound."""
+    """Gains and per-step decay rate lam of the exponential error bound."""
 
     C_x: float
     C_w: float
     lam: float
-    rho: float
 
 
 def rges_constants(cert: IossCertificate, alpha: float, M: int) -> RgesConstants:
     """Error-bound constants for horizon M and trigger sensitivity alpha."""
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ConfigurationError("alpha must be finite and nonnegative")
+    require_integer("M", M)
     if M < 1:
         raise ConfigurationError("horizon must be at least 1")
     M_min = min_horizon(cert)
@@ -140,7 +139,7 @@ def rges_constants(cert: IossCertificate, alpha: float, M: int) -> RgesConstants
     q_max = np.linalg.eigvalsh(cert.Q)[-1]
     C_x = 2.0 * math.sqrt(p2_eigs[-1] / p1_eigs[0])
     C_w = math.sqrt((2.0 * alpha + 4.0) * q_max / p1_eigs[0])
-    return RgesConstants(C_x=C_x, C_w=C_w, lam=math.sqrt(rho), rho=rho)
+    return RgesConstants(C_x=C_x, C_w=C_w, lam=math.sqrt(rho))
 
 
 def rges_bound(constants: RgesConstants, e0_norm: float,

@@ -14,7 +14,7 @@ from .certificate import (IossCertificate, RgesConstants, check_dissipation,
                           min_horizon, rges_bound, rges_constants)
 from .harness import (SimConfig, SimTrace, check_rges, run_alpha_sweep,
                       run_closed_loop, verify_proposition1)
-from .model import BATCH_REACTOR_BOUNDS, Box, ConfigurationError, batch_reactor
+from .model import Box, ConfigurationError, batch_reactor
 
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
@@ -87,11 +87,11 @@ def _matrix(text: str, path, lineno) -> np.ndarray:
 
 
 def _half_widths(text: str, path, lineno) -> Box:
-    """The box [-b, b] of the half-widths b; NaN or negative ones are rejected."""
+    """The box [-b, b] of the half-widths b, which must be finite and >= 0."""
     b = _vector(text, path, lineno)
-    if not np.all(b >= 0):
+    if not np.all((b >= 0) & np.isfinite(b)):
         raise ConfigurationError(
-            f"{path}:{lineno}: w_bounds must be nonnegative, got '{text}'")
+            f"{path}:{lineno}: w_bounds must be finite and nonnegative, got '{text}'")
     return Box(-b, b)
 
 
@@ -141,15 +141,14 @@ def parse_config(path) -> SimConfig:
                            for key, (parse, _) in keys.items() if key in entries}
     model_kw = values["model"]
     del model_kw["name"]
-    bounds = model_kw.pop("w_bounds", BATCH_REACTOR_BOUNDS)
     x_lower, x_upper = model_kw.pop("x_lower", None), model_kw.pop("x_upper", None)
     try:
-        model = batch_reactor(**model_kw, w_bounds=bounds)
+        model = batch_reactor(**model_kw)
         model = dataclasses.replace(model, x_set=Box(
             model.x_set.lower if x_lower is None else x_lower,
             model.x_set.upper if x_upper is None else x_upper))
         return SimConfig(model=model, cert=IossCertificate(**values["certificate"]),
-                         w_bounds=bounds, **values["mhe"], **values["sim"])
+                         **values["mhe"], **values["sim"])
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 

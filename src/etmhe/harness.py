@@ -14,7 +14,8 @@ from .certificate import IossCertificate, RgesConstants, rges_bound
 # perfbench/tracing.py wraps these names.
 from .mhe import (MheSolution, MheWindow, assemble_event_solution,
                   open_loop_predict, rollout, solve_nlp, solve_nlp_batch)
-from .model import Array, Box, ConfigurationError, SystemModel, sample_disturbance
+from .model import (Array, ConfigurationError, SystemModel, require_integer,
+                    sample_disturbance)
 from .trigger import EtmState, advance, compute_d, evaluate_trigger, extend
 
 POST_TRANSIENT_START = 30
@@ -38,10 +39,11 @@ class SimConfig:
     T: int
     x0: Array
     xhat0: Array
-    w_bounds: Box
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("M", "T", "seed"):
+            require_integer(name, getattr(self, name))
         if self.T < 1:
             raise ConfigurationError("simulation length must be at least 1")
         if self.M < 1:
@@ -56,21 +58,17 @@ class SimConfig:
             if (rows, cols) != (dim, dim):
                 raise ConfigurationError(f"certificate {name} is {rows}x{cols}, "
                                          f"the model needs {dim}x{dim}")
-        if self.w_bounds.dim != self.model.q:
-            raise ConfigurationError("w_bounds has wrong dimension")
-        if not np.all(np.isfinite((self.w_bounds.lower, self.w_bounds.upper))):
-            raise ConfigurationError("w_bounds must be finite")
-        x0 = np.asarray(self.x0, dtype=float)
-        xhat0 = np.asarray(self.xhat0, dtype=float)
-        for name, v in (("x0", x0), ("xhat0", xhat0)):
+        if not np.all(np.isfinite((self.model.w_set.lower, self.model.w_set.upper))):
+            raise ConfigurationError("w_set must be finite: the plant draws from it")
+        for name in ("x0", "xhat0"):
+            v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (self.model.n,):
                 raise ConfigurationError(f"{name} has wrong dimension")
             if not np.all(np.isfinite(v)):
                 raise ConfigurationError(f"{name} must be finite")
             if not self.model.x_set.contains(v):
                 raise ConfigurationError(f"{name} outside the admissible state set")
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "xhat0", xhat0)
+            object.__setattr__(self, name, v)
 
 
 @dataclass
@@ -148,8 +146,8 @@ def run_closed_loop_batch(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
         raise ConfigurationError("the runs of a batch must share model, cert, M and T")
     K = len(cfgs)
 
-    # All plants in one rollout, one disturbance draw per run.
-    w = np.stack([sample_disturbance(np.random.default_rng(c.seed), c.w_bounds, T + 1)
+    # All plants in one rollout, one draw per run on the W the solver constrains.
+    w = np.stack([sample_disturbance(np.random.default_rng(c.seed), model.w_set, T + 1)
                   for c in cfgs])
     x, y = rollout(model, np.stack([c.x0 for c in cfgs]), w[:, :T])
     y = np.concatenate([y, model.h(x[:, T], w[:, T])[:, None]], axis=1)
@@ -282,7 +280,7 @@ def run_alpha_sweep(cfg: SimConfig, alphas: Sequence[float],
     """
     if not len(alphas) or not len(seeds):
         raise ConfigurationError("alpha and seed lists must be nonempty")
-    batch = [replace(cfg, alpha=float(alpha), seed=int(seed))
+    batch = [replace(cfg, alpha=float(alpha), seed=seed)
              for alpha in alphas for seed in seeds]
     return list(zip(batch, run_closed_loop_batch(batch)))
 
@@ -319,8 +317,6 @@ class MetricsReport:
 
 def performance_metrics(trace_et: SimTrace, trace_mhe: SimTrace) -> MetricsReport:
     """Accuracy and solve-count comparison on a shared realization."""
-    if trace_et.T != trace_mhe.T:
-        raise ConfigurationError("traces have different lengths")
     if not np.array_equal(trace_et.w, trace_mhe.w):
         raise ConfigurationError("traces come from different realizations")
     if trace_et.T < POST_TRANSIENT_START:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -10,7 +9,7 @@ import numpy as np
 
 # min_horizon is not called here: perfbench/tracing.py wraps this name.
 from .certificate import IossCertificate, min_horizon
-from .model import ConfigurationError, SystemModel
+from .model import ConfigurationError, SystemModel, require_integer
 
 Array = np.ndarray
 
@@ -43,13 +42,9 @@ class MheWindow:
         meas = np.asarray(self.measurements, dtype=float)
         if meas.ndim != 2:
             raise ConfigurationError("measurements must be 2-D, one row per step")
-        try:
-            valid = operator.index(self.delta) >= 0
-        except TypeError:
-            valid = False
-        if not valid:
-            raise ConfigurationError(
-                f"delta must be nonnegative and integral, got {self.delta!r}")
+        require_integer("delta", self.delta)
+        if self.delta < 0:
+            raise ConfigurationError(f"delta must be nonnegative, got {self.delta!r}")
         for name, v in (("prior", prior), ("measurements", meas)):
             if not np.isfinite(v).all():
                 raise ConfigurationError(f"window {name} must be finite")
@@ -112,6 +107,8 @@ def cost_residuals(window: MheWindow, cert: IossCertificate, alpha: float):
     Mt - delta measured steps. y_seq are the outputs rolled out from
     (x_init, w_seq); the map never rolls out itself.
     """
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ConfigurationError("alpha must be finite and nonnegative")
     eta, Mt = cert.eta, window.horizon
     n_meas = Mt - window.delta
     disc = eta ** (Mt - 1 - np.arange(Mt))  # eta^(t-j-1) for j = t-Mt..t-1

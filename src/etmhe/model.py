@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -13,6 +14,14 @@ Array = np.ndarray
 
 class ConfigurationError(Exception):
     """Raised for any rejected input: config file, model, certificate, run."""
+
+
+def require_integer(name: str, value) -> None:
+    """Reject a value that is not an integer (a float, even 5.0, is not)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

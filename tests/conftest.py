@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from etmhe import IossCertificate, batch_reactor
+from etmhe import IossCertificate, batch_reactor, harness
 from etmhe.cli import parse_config
 
 CONFIG_PATH = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
@@ -30,3 +30,11 @@ def bench_model():
 @pytest.fixture(scope="session")
 def bench_cfg():
     return parse_config(CONFIG_PATH)
+
+
+@pytest.fixture
+def zero_disturbance(monkeypatch):
+    """Make the closed loop's plant draw w = 0 at every step; the model's W,
+    which the estimator constrains, is left as it is."""
+    monkeypatch.setattr(harness, "sample_disturbance",
+                        lambda rng, box, size: np.zeros((size, box.dim)))

@@ -152,9 +152,8 @@ def test_headline_fewer_solves_same_accuracy(bench_cfg, seed_runs, monkeypatch):
     assert ok, f"headline: {detail}"
 
 
-def test_criterion_7_perfect_information(bench_cfg):
-    cfg = dataclasses.replace(bench_cfg, T=50, xhat0=np.array([3.0, 1.0]),
-                              w_bounds=Box(np.zeros(3), np.zeros(3)))
+def test_criterion_7_perfect_information(bench_cfg, zero_disturbance):
+    cfg = dataclasses.replace(bench_cfg, T=50, xhat0=np.array([3.0, 1.0]))
     trace = run_closed_loop(cfg)
     worst = float(np.max(trace.err_norm))
     report(7, worst <= 1e-8,

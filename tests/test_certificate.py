@@ -123,10 +123,9 @@ class TestRgesConstants:
         mp.mp.dps = 50
         rho_ref = float((4 * mp.mpf("0.91") ** 30) ** (mp.mpf(1) / 30))
         constants = rges_constants(bench_cert, alpha=5.0, M=30)
-        assert constants.rho == pytest.approx(rho_ref, rel=1e-10)
-        assert constants.rho == pytest.approx(0.953038, abs=1e-6)
-        assert constants.lam == pytest.approx(math.sqrt(constants.rho))
-        assert constants.rho < 1.0
+        assert constants.lam ** 2 == pytest.approx(rho_ref, rel=1e-10)
+        assert constants.lam ** 2 == pytest.approx(0.953038, abs=1e-6)
+        assert constants.lam ** 2 < 1.0
 
     def test_gain_formulas(self, bench_cert):
         c0 = rges_constants(bench_cert, alpha=0.0, M=30)
@@ -164,7 +163,7 @@ def explicit_bound(constants, e0, w_norms, t):
 
 class TestRgesBound:
     def test_hand_value(self):
-        constants = RgesConstants(C_x=2.0, C_w=1.0, lam=0.5, rho=0.25)
+        constants = RgesConstants(C_x=2.0, C_w=1.0, lam=0.5)
         # b_0 = 2 * 1; b_1 = 2 * 1 * 0.5 + 1 * 1 * 0.5^0 = 2;
         # b_2 = 2 * 0.25 + 1 * 0.5 + 3 * 1 = 4.
         np.testing.assert_allclose(rges_bound(constants, 1.0, [1.0, 3.0]),

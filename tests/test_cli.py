@@ -59,10 +59,9 @@ class TestParseConfig:
         assert bench_cfg.cert.eta == 0.91
         np.testing.assert_allclose(bench_cfg.x0, [3.0, 1.0])
         np.testing.assert_allclose(bench_cfg.xhat0, [0.1, 4.5])
-        np.testing.assert_allclose(bench_cfg.w_bounds.upper, [1e-3, 1e-3, 0.1])
-        np.testing.assert_array_equal(bench_cfg.w_bounds.lower,
-                                      -bench_cfg.w_bounds.upper)
-        assert bench_cfg.model.w_set is bench_cfg.w_bounds
+        w_set = bench_cfg.model.w_set
+        np.testing.assert_allclose(w_set.upper, [1e-3, 1e-3, 0.1])
+        np.testing.assert_array_equal(w_set.lower, -w_set.upper)
 
     def test_optional_keys_take_library_defaults(self, tmp_path, bench_cfg):
         optional = {"k1", "k2", "tau", "x_lower", "x_upper", "w_bounds", "seed"}
@@ -70,7 +69,7 @@ class TestParseConfig:
                          if line.split("=")[0].strip() not in optional)
         cfg = parse_config(write_cfg(tmp_path, text))
         assert_model_equal(cfg.model, batch_reactor())
-        assert cfg.w_bounds is BATCH_REACTOR_BOUNDS
+        assert cfg.model.w_set is BATCH_REACTOR_BOUNDS
         assert cfg.seed == 0
         # The benchmark file spells out the same defaults.
         assert_model_equal(bench_cfg.model, cfg.model)
@@ -233,12 +232,12 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("bad", ["-1e-3", "nan", "inf"])
     def test_bad_w_bounds_rejected(self, tmp_path, capsys, bad):
-        # A negative or NaN half-width is rejected as it is parsed, an
-        # infinite one by SimConfig; each names w_bounds.
+        # Each is rejected as it is parsed, at the line of w_bounds.
         text = GOOD.replace("w_bounds = 1e-3,", f"w_bounds = {bad},")
         assert text != GOOD
         path = write_cfg(tmp_path, text)
-        with pytest.raises(ConfigurationError, match=r"case\.cfg(:\d+)?: w_bounds must be"):
+        with pytest.raises(ConfigurationError,
+                           match=r"case\.cfg:\d+: w_bounds must be finite and nonnegative"):
             parse_config(path)
         assert main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
@@ -288,10 +287,10 @@ class TestTraceCsv:
                              "y1", "y2", "gamma"]
 
     def test_scalar_model_trace(self, tmp_path):
-        cfg = SimConfig(model=scalar_linear_model(), cert=scalar_cert(), M=3,
-                        alpha=1.0, T=12, x0=np.array([1.0]),
-                        xhat0=np.array([0.0]),
-                        w_bounds=Box(-np.array([0.01, 0.05]), np.array([0.01, 0.05])))
+        b = np.array([0.01, 0.05])
+        model = dataclasses.replace(scalar_linear_model(), w_set=Box(-b, b))
+        cfg = SimConfig(model=model, cert=scalar_cert(), M=3, alpha=1.0, T=12,
+                        x0=np.array([1.0]), xhat0=np.array([0.0]))
         trace = run_closed_loop(cfg)
         out = tmp_path / "trace.csv"
         write_trace_csv(trace, rges_constants(cfg.cert, cfg.alpha, cfg.M), out)

@@ -1,6 +1,7 @@
 """Closed-loop simulation, oracle comparison, sweeps and metrics."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -160,25 +161,46 @@ class TestClosedLoop:
             with pytest.raises(ConfigurationError, match="^alpha "):
                 dataclasses.replace(bench_cfg, alpha=bad)
 
-    def test_w_bounds_dimension_checked(self, bench_cfg):
-        for bounds in ([1e-3, 1e-3], [1e-3, 1e-3, 0.1, 0.1]):
-            b = np.array(bounds)
-            with pytest.raises(ConfigurationError, match="^w_bounds has wrong"):
-                dataclasses.replace(bench_cfg, w_bounds=Box(-b, b))
-
-    def test_w_bounds_must_be_finite(self, bench_cfg):
+    def test_w_set_must_be_finite(self, bench_cfg):
+        # The plant draws its disturbances from the model's W.
         b = np.array([1e-3, 1e-3, 0.1])
         for lower, upper in ((-b, [1e-3, np.inf, 0.1]), ([-np.inf, -1e-3, -0.1], b)):
-            with pytest.raises(ConfigurationError, match="^w_bounds must be finite"):
-                dataclasses.replace(bench_cfg, w_bounds=Box(lower, upper))
+            model = dataclasses.replace(bench_cfg.model, w_set=Box(lower, upper))
+            with pytest.raises(ConfigurationError, match="^w_set must be finite"):
+                dataclasses.replace(bench_cfg, model=model)
+
+    def test_disturbances_lie_in_w_set(self, bench_cfg):
+        # The plant, the solver's constraint and the certificate share one W.
+        runs = run_alpha_sweep(bench_cfg, [bench_cfg.alpha], range(4))
+        other_shape = linear_3x2_cfg()
+        runs.append((other_shape, run_closed_loop(other_shape)))
+        for cfg, tr in runs:
+            assert len(tr.w) == cfg.T + 1
+            assert all(cfg.model.w_set.contains(w) for w in tr.w), cfg.seed
 
     def test_zero_horizon_rejected(self, bench_cfg):
         with pytest.raises(ConfigurationError, match="horizon must be at least 1"):
             dataclasses.replace(bench_cfg, M=0, T=5)
 
+    @pytest.mark.parametrize("field,value", [("M", 2.5), ("M", np.float64(5.0)),
+                                             ("M", 20.5), ("T", 10.5),
+                                             ("seed", 2.5)])
+    def test_non_integral_sizes_rejected(self, bench_cfg, field, value):
+        # Rejected up front, not as an IndexError or TypeError inside the loop.
+        message = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            dataclasses.replace(bench_cfg, **{field: value})
+        if field == "M":  # nor are there error-bound constants for it
+            with pytest.raises(ConfigurationError, match="^M must be an integer"):
+                rges_constants(bench_cfg.cert, 5.0, value)
+        if field == "seed":  # nor does a sweep truncate it
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                run_alpha_sweep(bench_cfg, [5.0], [value])
+
 
 def linear_model_3x2():
-    """x+ = A x + (w1, w2, w3), y = (x1 + w4, x2 + x3 + w5): n=3, q=5, p=2.
+    """x+ = A x + (w1, w2, w3), y = (x1 + w4, x2 + x3 + w5): n=3, q=5, p=2,
+    with W = [-b, b], b = (0.01, 0.01, 0.01, 0.05, 0.05).
 
     Written coordinate by coordinate so that batched rows equal unbatched
     calls bit for bit. |A|_2 < 0.5, so V = |x - x'|^2 dissipates with
@@ -195,18 +217,17 @@ def linear_model_3x2():
         return np.stack([x[..., 0] + w[..., 3], x[..., 1] + x[..., 2] + w[..., 4]],
                         axis=-1)
 
+    b = np.array([0.01, 0.01, 0.01, 0.05, 0.05])
     return SystemModel(n=3, q=5, p=2, f=f, h=h, x_set=Box.unbounded(3),
-                       w_set=Box.unbounded(5))
+                       w_set=Box(-b, b))
 
 
 def linear_3x2_cfg():
     cert = IossCertificate(P1=np.eye(3), P2=np.eye(3),
                            Q=np.diag([2.0, 2.0, 2.0, 1.0, 1.0]), R=np.eye(2),
                            eta=0.5)
-    b = np.array([0.01, 0.01, 0.01, 0.05, 0.05])
     return SimConfig(model=linear_model_3x2(), cert=cert, M=4, alpha=5.0,
-                     T=30, x0=np.array([1.0, -1.0, 2.0]), xhat0=np.zeros(3),
-                     w_bounds=Box(-b, b))
+                     T=30, x0=np.array([1.0, -1.0, 2.0]), xhat0=np.zeros(3))
 
 
 class TestOtherShape:
@@ -441,8 +462,12 @@ class TestBoundAndMetrics:
 
     def test_metrics_require_shared_realization(self, bench_cfg, short_trace):
         other = run_closed_loop(dataclasses.replace(bench_cfg, T=40, seed=1))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="different realizations"):
             performance_metrics(short_trace, other)
+        # A longer run of the same seed has a different realization too.
+        longer = run_closed_loop(dataclasses.replace(bench_cfg, T=41))
+        with pytest.raises(ConfigurationError, match="different realizations"):
+            performance_metrics(short_trace, longer)
 
     def test_metrics_need_post_transient_steps(self, bench_cfg):
         cfg = dataclasses.replace(bench_cfg, T=20)
@@ -460,10 +485,8 @@ class TestBoundAndMetrics:
 
 
 class TestPerfectInformation:
-    def test_zero_noise_zero_initial_error(self, bench_cfg):
-        cfg = dataclasses.replace(
-            bench_cfg, T=30, xhat0=np.array([3.0, 1.0]),
-            w_bounds=Box(np.zeros(3), np.zeros(3)))
+    def test_zero_noise_zero_initial_error(self, bench_cfg, zero_disturbance):
+        cfg = dataclasses.replace(bench_cfg, T=30, xhat0=np.array([3.0, 1.0]))
         trace = run_closed_loop(cfg)
         assert np.max(trace.err_norm) <= 1e-8
 
@@ -471,15 +494,17 @@ class TestPerfectInformation:
 
 class TestLongSilence:
     @pytest.mark.parametrize("alpha,first", [(5.0, 1069), (1e300, 1076)])
-    def test_silence_ends_when_threshold_underflows(self, alpha, first):
+    def test_silence_ends_when_threshold_underflows(self, alpha, first,
+                                                    zero_disturbance):
         # x+ = w with no disturbance: the event at t = 1 makes the estimate
         # exact, so the residual sum stays exactly 0 and the silence lasts
         # until eta^(t - eps) in the threshold alpha * eta^(t - eps) * d
         # underflows to 0, where equality fires. Any warning on the way is
         # an error under the suite's filter.
-        cfg = SimConfig(model=scalar_linear_model(a=0.0), cert=scalar_cert(eta=0.5),
-                        M=3, alpha=alpha, T=1200, x0=np.array([1.0]),
-                        xhat0=np.array([0.0]), w_bounds=Box(np.zeros(2), np.zeros(2)))
+        model = dataclasses.replace(scalar_linear_model(a=0.0),
+                                    w_set=Box(-np.ones(2), np.ones(2)))
+        cfg = SimConfig(model=model, cert=scalar_cert(eta=0.5), M=3, alpha=alpha,
+                        T=1200, x0=np.array([1.0]), xhat0=np.array([0.0]))
         tr = run_closed_loop(cfg)
         assert np.all(np.isfinite(tr.xhat))
         events = np.flatnonzero(tr.gamma[1:]) + 1
@@ -521,7 +546,7 @@ class TestStandardMhe:
         # from the previous solution shifted to the new window start.
         cfg = dataclasses.replace(bench_cfg, alpha=0.0, seed=seed)
         model, T, M = cfg.model, cfg.T, cfg.M
-        w = sample_disturbance(np.random.default_rng(seed), cfg.w_bounds, T + 1)
+        w = sample_disturbance(np.random.default_rng(seed), cfg.model.w_set, T + 1)
         x, y = [cfg.x0], []
         for t in range(T + 1):
             y.append(model.h(x[t], w[t]))

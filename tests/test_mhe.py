@@ -64,7 +64,7 @@ class TestWindow:
     def test_non_integral_delta_rejected(self, delta):
         # Rejected here, not as a slice error inside the solve.
         with pytest.raises(ConfigurationError,
-                           match="delta must be nonnegative and integral"):
+                           match="delta must be an integer"):
             MheWindow(delta=delta, prior=np.zeros(2), measurements=np.zeros((3, 1)))
         assert MheWindow(delta=np.int64(2), prior=np.zeros(2),
                          measurements=np.zeros((3, 1))).horizon == 5
@@ -123,6 +123,19 @@ class TestMheConfig:
         with pytest.raises(ConfigurationError,
                            match="alpha must be finite and nonnegative"):
             dataclasses.replace(bench_cfg, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -2.0, -1.0])
+    def test_solver_rejects_bad_alpha(self, bench_model, bench_cert, alpha):
+        # cost_residuals checks alpha, so a direct solve or cost evaluation
+        # cannot weigh the outputs by NaN, by a negative number or by 0.
+        window, _, _ = bench_window(bench_model, bench_cert)
+        w_seq = np.zeros((window.horizon, bench_model.q))
+        for call in (lambda: solve_nlp(window, bench_model, bench_cert, alpha),
+                     lambda: eval_cost(window, window.prior, w_seq, bench_model,
+                                       bench_cert, alpha)):
+            with pytest.raises(ConfigurationError,
+                               match="^alpha must be finite and nonnegative$"):
+                call()
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_horizon_at_least_one(self, bench_cfg, horizon):

@@ -54,11 +54,11 @@ def test_frozen_estimate(runs):
         check((mutant, elapsed))
 
 
-def test_offset_event_estimates(bench_cfg, monkeypatch):
+def test_offset_event_estimates(bench_cfg, monkeypatch, zero_disturbance):
     """+0.3 on every event-time estimate fails criterion 7 (perfect
     information)."""
     check = test_acceptance.test_criterion_7_perfect_information
-    check(bench_cfg)
+    check(bench_cfg, zero_disturbance)
     real = harness.solve_nlp_batch
 
     def offset(problems, model):
@@ -71,7 +71,7 @@ def test_offset_event_estimates(bench_cfg, monkeypatch):
 
     monkeypatch.setattr(harness, "solve_nlp_batch", offset)
     with pytest.raises(AssertionError, match="criterion 7"):
-        check(bench_cfg)
+        check(bench_cfg, zero_disturbance)
 
 
 def test_prior_weight_one_power_short(bench_model, bench_cert, monkeypatch):
