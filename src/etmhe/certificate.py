@@ -8,7 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Box, ConfigurationError, SystemModel, require_integer
+from .model import (Box, ConfigurationError, SystemModel, require_integer,
+                    sample_disturbance)
 
 Array = np.ndarray
 
@@ -187,6 +188,8 @@ def check_dissipation(cert: IossCertificate, model: SystemModel, region: Box,
         raise ConfigurationError("region must be a bounded state box")
     if np.any(region.upper <= region.lower):
         raise ConfigurationError("empty check region")
+    if not np.all(np.isfinite((model.w_set.lower, model.w_set.upper))):
+        raise ConfigurationError("w_set must be finite: the check draws from it")
 
     P = cert.P1
     width = region.upper - region.lower
@@ -195,9 +198,7 @@ def check_dissipation(cert: IossCertificate, model: SystemModel, region: Box,
         return rng.uniform(region.lower, region.upper, (k, model.n))
 
     def sample_w(k):
-        lo = np.where(np.isfinite(model.w_set.lower), model.w_set.lower, -1.0)
-        hi = np.where(np.isfinite(model.w_set.upper), model.w_set.upper, 1.0)
-        return rng.uniform(lo, hi, (k, model.q))
+        return sample_disturbance(rng, model.w_set, k)
 
     k = n_samples // 4
     parts = []

@@ -9,9 +9,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .certificate import IossCertificate, RgesConstants, rges_bound
-# assemble_event_solution, open_loop_predict and solve_nlp are not called
-# here (the closed loop and the oracle call solve_nlp_batch):
-# perfbench/tracing.py wraps these names.
+# open_loop_predict and solve_nlp are not called here (the closed loop and
+# the oracle call solve_nlp_batch): perfbench/tracing.py wraps these names.
 from .mhe import (MheSolution, MheWindow, assemble_event_solution,
                   open_loop_predict, rollout, solve_nlp, solve_nlp_batch)
 from .model import (Array, ConfigurationError, SystemModel, require_integer,
@@ -108,18 +107,6 @@ class SimTrace:
         return np.linalg.norm(self.w, axis=1)
 
 
-def _warm_start(prev_sol: MheSolution, prev_t: int, t: int, window: MheWindow):
-    """The solution of the event at prev_t shifted to the start of the
-    window ending at t: its state there (past its end, the open-loop
-    estimate held in the prior) and its disturbances from there on,
-    zero-padded."""
-    offset = (t - window.horizon) - (prev_t - len(prev_sol.w_seq))
-    x_start = prev_sol.x_seq[offset] if offset < len(prev_sol.x_seq) else window.prior
-    kept = prev_sol.w_seq[offset:]
-    pad = np.zeros((window.horizon - len(kept), kept.shape[1]))
-    return x_start, np.vstack([kept, pad])
-
-
 def run_closed_loop(cfg: SimConfig) -> SimTrace:
     """Simulate the full plant / trigger / remote-estimator loop.
 
@@ -183,8 +170,12 @@ def run_closed_loop_batch(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
                 tx[k, t] = t - max(t - M, etm[k].eps)
                 window = MheWindow(delta=0, prior=xhat[k, t - Mt],
                                    measurements=y[k, t - Mt:t])
-                warm = (None if last_sol[k] is None
-                        else _warm_start(last_sol[k], etm[k].eps, t, window))
+                warm = None
+                if last_sol[k] is not None:
+                    # The last solution extended to t (Prop 1), cut to the window.
+                    ext = assemble_event_solution(last_sol[k], t - etm[k].eps,
+                                                  model, cert.eta)
+                    warm = ext.x_seq[-Mt - 1], ext.w_seq[-Mt:]
                 fired.append(k)
                 problems.append((window, cert, cfg.alpha, warm))
             else:

@@ -350,16 +350,14 @@ def assemble_event_solution(prev: MheSolution, delta: int, model: SystemModel,
     rescaled by eta^delta, which is the optimal value of the extended
     window.
     """
+    require_integer("delta", delta)
     if delta < 0:
         raise ConfigurationError("delta must be nonnegative")
     if delta == 0:
         return prev
-    w_ext = np.vstack([prev.w_seq, np.zeros((delta, model.q))])
-    x_seq = list(prev.x_seq)
-    y_seq = list(prev.y_seq)
-    for _ in range(delta):
-        y_seq.append(model.h(x_seq[-1], np.zeros(model.q)))
-        x_seq.append(open_loop_predict(model, x_seq[-1]))
-    return replace(prev, w_seq=w_ext, x_seq=np.asarray(x_seq),
-                   y_seq=np.asarray(y_seq), cost=prev.cost * eta ** delta,
-                   iterations=0)
+    w_tail = np.zeros((delta, model.q))
+    x_tail, y_tail = rollout(model, prev.x_seq[-1], w_tail)
+    return replace(prev, w_seq=np.vstack([prev.w_seq, w_tail]),
+                   x_seq=np.vstack([prev.x_seq, x_tail[1:]]),
+                   y_seq=np.vstack([prev.y_seq, y_tail]),
+                   cost=prev.cost * eta ** delta, iterations=0)

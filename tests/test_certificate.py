@@ -10,6 +10,7 @@ from etmhe import (Box, ConfigurationError, IossCertificate, RgesConstants,
                    rges_bound, rges_constants)
 
 from conftest import ETA_BENCH, P_BENCH, Q_BENCH, R_BENCH
+from test_mhe import scalar_linear_model
 
 
 def char_poly_eigs_2x2(a):
@@ -218,6 +219,15 @@ class TestDissipationCheck:
                               np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
             check_dissipation(bench_cert, bench_model, self.REGION, 4,
+                              np.random.default_rng(0))
+
+    def test_requires_finite_disturbance_set(self):
+        # W is the model's own, never a stand-in box.
+        model = scalar_linear_model()
+        cert = IossCertificate(P1=np.eye(1), P2=np.eye(1), Q=np.eye(2),
+                               R=np.eye(1), eta=0.9)
+        with pytest.raises(ConfigurationError, match="w_set"):
+            check_dissipation(cert, model, Box(np.zeros(1), np.ones(1)), 100,
                               np.random.default_rng(0))
 
     def test_deterministic_given_seed(self, bench_cert, bench_model):

@@ -122,25 +122,39 @@ class TestClosedLoop:
             assert sent[t - min(t, cfg.M):t].all()
 
     def test_warm_start_is_shifted_solution(self, bench_cfg, monkeypatch):
-        # _warm_start must equal the last solution extended by open-loop
-        # prediction, read at the new window's start, for a window that
-        # starts inside, at the end of and past the last one.
+        # Each event's warm start is the last solution shifted to the new
+        # window's start: its state there, or the open-loop estimate held in
+        # the prior once the window starts past it, and its disturbances
+        # from there on, zero-padded. Checked for a window that starts
+        # inside, at the end of and past the last solution.
         cfg = dataclasses.replace(bench_cfg, M=5, T=40, alpha=20.0)
+        calls = []
+        solve_batch = harness.solve_nlp_batch
+
+        def recording(problems, model):
+            sols = solve_batch(problems, model)
+            calls.extend((window, warm, sol)
+                         for (window, _, _, warm), sol in zip(problems, sols))
+            return sols
+
+        monkeypatch.setattr(harness, "solve_nlp_batch", recording)
+        tr = run_closed_loop(cfg)
+        events = (np.flatnonzero(tr.gamma[1:]) + 1).tolist()
+        assert len(calls) == len(events)
+        assert calls[0][1] is None
         branches = []
-        warm_start = harness._warm_start
-
-        def checked(prev_sol, prev_t, t, window):
-            x_start, w_seq = warm_start(prev_sol, prev_t, t, window)
-            delta = t - prev_t
-            ext = assemble_event_solution(prev_sol, delta, cfg.model, cfg.cert.eta)
-            offset = (t - window.horizon) - (prev_t - len(prev_sol.w_seq))
-            np.testing.assert_array_equal(x_start, ext.x_seq[offset])
-            np.testing.assert_array_equal(w_seq, ext.w_seq[offset:])
-            branches.append(np.sign(offset - (len(prev_sol.x_seq) - 1)))
-            return x_start, w_seq
-
-        monkeypatch.setattr(harness, "_warm_start", checked)
-        run_closed_loop(cfg)
+        for i in range(1, len(events)):
+            prev_t, t = events[i - 1], events[i]
+            prev = calls[i - 1][2]
+            window, warm, _ = calls[i]
+            Mt = window.horizon
+            offset = (t - Mt) - (prev_t - len(prev.w_seq))
+            x_ref = prev.x_seq[offset] if offset < len(prev.x_seq) else tr.xhat[t - Mt]
+            kept = prev.w_seq[offset:]
+            w_ref = np.vstack([kept, np.zeros((Mt - len(kept), cfg.model.q))])
+            np.testing.assert_array_equal(warm[0], x_ref)
+            np.testing.assert_array_equal(warm[1], w_ref)
+            branches.append(np.sign(offset - (len(prev.x_seq) - 1)))
         assert set(branches) == {-1, 0, 1}
 
     def test_error_stays_bounded(self, short_trace):

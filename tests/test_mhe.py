@@ -432,11 +432,14 @@ class TestAssembledSolution:
         ext = assemble_event_solution(sol, 3, bench_model, bench_cert.eta)
         assert len(ext.x_seq) == len(sol.x_seq) + 3
         assert len(ext.w_seq) == len(sol.w_seq) + 3
+        assert len(ext.y_seq) == len(sol.y_seq) + 3
         np.testing.assert_array_equal(ext.w_seq[-3:], 0.0)
         x = sol.estimate
         for k in range(3):
+            np.testing.assert_array_equal(ext.y_seq[len(sol.y_seq) + k],
+                                          bench_model.h(x, np.zeros(bench_model.q)))
             x = open_loop_predict(bench_model, x)
-            np.testing.assert_allclose(ext.x_seq[len(sol.x_seq) + k], x)
+            np.testing.assert_array_equal(ext.x_seq[len(sol.x_seq) + k], x)
         assert ext.cost == pytest.approx(sol.cost * bench_cert.eta ** 3)
 
     def test_zero_delta_is_identity(self, bench_model, bench_cert):
@@ -449,3 +452,11 @@ class TestAssembledSolution:
         sol = solve_nlp(window, bench_model, bench_cert, 5.0)
         with pytest.raises(ConfigurationError):
             assemble_event_solution(sol, -1, bench_model, bench_cert.eta)
+        for bad in (1.5, 2.0):
+            with pytest.raises(ConfigurationError, match="delta"):
+                assemble_event_solution(sol, bad, bench_model, bench_cert.eta)
+        ext = assemble_event_solution(sol, 2, bench_model, bench_cert.eta)
+        ext64 = assemble_event_solution(sol, np.int64(2), bench_model, bench_cert.eta)
+        for field in dataclasses.fields(ext):
+            np.testing.assert_array_equal(getattr(ext64, field.name),
+                                          getattr(ext, field.name))
