@@ -271,6 +271,8 @@ def run_alpha_sweep(cfg: SimConfig, alphas: Sequence[float],
     """
     if not len(alphas) or not len(seeds):
         raise ConfigurationError("alpha and seed lists must be nonempty")
+    if len({float(a) for a in alphas}) < len(alphas) or len(set(seeds)) < len(seeds):
+        raise ConfigurationError("a sweep may not repeat an alpha or a seed")
     batch = [replace(cfg, alpha=float(alpha), seed=seed)
              for alpha in alphas for seed in seeds]
     return list(zip(batch, run_closed_loop_batch(batch)))

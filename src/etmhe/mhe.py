@@ -14,10 +14,9 @@ from .model import ConfigurationError, SystemModel, require_integer
 Array = np.ndarray
 
 
-# Levenberg-Marquardt internals: an iteration cap, the gradient, relative
-# step and flat-cost stopping tolerances, and the damping schedule.
+# Levenberg-Marquardt internals: an iteration cap, the relative step and
+# flat-cost stopping tolerances, and the damping schedule.
 LM_MAX_ITERATIONS = 100
-LM_GRADIENT_TOLERANCE = 1e-10
 LM_STEP_TOLERANCE = 1e-12
 LM_COST_TOLERANCE = 1e-9
 LM_INITIAL_DAMPING = 1e-3
@@ -137,11 +136,21 @@ def cost_residuals(window: MheWindow, cert: IossCertificate, alpha: float):
 def eval_cost(window: MheWindow, x_init: Array, w_seq: Array,
               model: SystemModel, cert: IossCertificate, alpha: float) -> float:
     """Discounted least-squares cost of a candidate (x_init, w_seq)."""
-    x_init = np.asarray(x_init, dtype=float)
-    w_seq = np.asarray(w_seq, dtype=float).reshape(window.horizon, model.q)
+    x_init = _finite_array("x_init", [x_init], (model.n,))
+    w_seq = _finite_array("w_seq", [w_seq], (window.horizon, model.q))
     _, y_seq = rollout(model, x_init, w_seq)
     r = cost_residuals(window, cert, alpha)(x_init, w_seq, y_seq)
     return float(r @ r)
+
+
+def _finite_array(name: str, parts: Sequence[Array], shape: tuple) -> Array:
+    """The parts' values, in order, as one finite array of the given shape."""
+    z = np.concatenate([np.asarray(part, dtype=float).ravel() for part in parts])
+    if z.size != np.prod(shape):
+        raise ConfigurationError(f"{name} must fill shape {shape}, got {z.size} values")
+    if not np.isfinite(z).all():
+        raise ConfigurationError(f"{name} must be finite")
+    return z.reshape(shape)
 
 
 def _sqrt_factor(mat: Array) -> Array:
@@ -269,16 +278,9 @@ def _lm(window: MheWindow, model: SystemModel, cert: IossCertificate,
         R = residuals(x0, w, outputs)
         return float(R[0] @ R[0]), R, h_fd, x_seq, outputs[0].copy()
 
-    if warm_start is not None:
-        z = np.concatenate([np.asarray(warm_start[0], float).ravel(),
-                            np.asarray(warm_start[1], float).ravel()])
-        if z.shape != (nz,):
-            raise ConfigurationError("warm start has wrong dimensions")
-        if not np.isfinite(z).all():
-            raise ConfigurationError("warm start must be finite")
-    else:
-        z = np.concatenate([window.prior, np.zeros(Mt * q)])
-    z = np.clip(z, lo, hi)
+    if warm_start is None:
+        warm_start = (window.prior, np.zeros(Mt * q))
+    z = np.clip(_finite_array("warm start", warm_start, (nz,)), lo, hi)
 
     cost, R, h_fd, x_seq, y_seq = yield from evaluate(z)
     lam = LM_INITIAL_DAMPING
@@ -293,12 +295,8 @@ def _lm(window: MheWindow, model: SystemModel, cert: IossCertificate,
         R[1:] /= h_fd[:, None]
         J = R[1:].T
         g = J.T @ r
-        g_proj = z - np.clip(z - g, lo, hi)
-        if np.max(np.abs(g_proj)) < LM_GRADIENT_TOLERANCE:
-            converged = True
-            break
-        # Freeze coordinates pressed against a bound so clipping cannot
-        # degrade the step; damp with the Marquardt diagonal scaling.
+        # Freeze coordinates pressed against a bound: with zero rows, columns
+        # and gradient, the step leaves them. Damp with the Marquardt scaling.
         bound_tol = 1e-12 * (1.0 + np.abs(z))
         active = ((z <= lo + bound_tol) & (g > 0)) | ((z >= hi - bound_tol) & (g < 0))
         free = ~active
@@ -314,7 +312,6 @@ def _lm(window: MheWindow, model: SystemModel, cert: IossCertificate,
             except np.linalg.LinAlgError:
                 lam *= LM_DAMPING_INCREASE
                 continue
-            z_new[active] = z[active]
             trial = None  # release a rejected trial's batch before the next one
             trial = yield from evaluate(z_new)
             if trial[0] <= cost:
@@ -322,7 +319,7 @@ def _lm(window: MheWindow, model: SystemModel, cert: IossCertificate,
             lam *= LM_DAMPING_INCREASE
         else:
             # Damping exhausted without descent: stationary to working precision.
-            converged = np.max(np.abs(g_proj)) < 1e-6
+            converged = np.max(np.abs(z - np.clip(z - g, lo, hi))) < 1e-6
             break
         step_norm = np.linalg.norm(z_new - z)
         cost_drop = cost - trial[0]

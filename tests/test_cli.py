@@ -356,6 +356,14 @@ class TestCommands:
         assert lines[0] == "alpha,seed,t,gamma"
         assert len(lines) == 1 + 2 * 16
 
+    @pytest.mark.parametrize("alphas,seeds", [("5,5.0", "0"), ("0,5", "1,1")])
+    def test_sweep_repeated_point_exit_code(self, tmp_path, capsys, alphas, seeds):
+        code = main(["sweep", "--config", str(CONFIG_PATH), "--alphas", alphas,
+                     "--seeds", seeds, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "repeat an alpha or a seed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
     def test_verify_prop1_passes(self, tmp_path, capsys):
         code = main(["verify-prop1", "--config", str(CONFIG_PATH),
                      "--horizon", "5", "--steps", "20"])

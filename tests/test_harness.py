@@ -435,6 +435,13 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             run_alpha_sweep(bench_cfg, alphas=[], seeds=[0])
 
+    @pytest.mark.parametrize("alphas,seeds", [([5, 5.0], [0]), ([0.0, 5.0], [1, 1]),
+                                              ([5.0], [np.int64(1), 1])])
+    def test_repeated_point_rejected(self, bench_cfg, alphas, seeds):
+        # Two runs under one (alpha, seed) key would merge in any keyed reader.
+        with pytest.raises(ConfigurationError, match="repeat an alpha or a seed"):
+            run_alpha_sweep(bench_cfg, alphas=alphas, seeds=seeds)
+
 
 class TestBoundAndMetrics:
     def test_rges_bound_holds_on_short_run(self, bench_cfg, short_trace):

@@ -142,9 +142,9 @@ class TestMheConfig:
         with pytest.raises(ConfigurationError, match="at least 1"):
             dataclasses.replace(bench_cfg, M=horizon)
 
-    @pytest.mark.parametrize("field", ["gradient_tolerance", "step_tolerance",
-                                       "cost_tolerance", "initial_damping",
-                                       "damping_increase", "damping_decrease"])
+    @pytest.mark.parametrize("field", ["step_tolerance", "cost_tolerance",
+                                       "initial_damping", "damping_increase",
+                                       "damping_decrease"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_solver_settings_finite(self, bench_model, bench_cert, field, bad):
         """The LM internals are module constants, positive and finite; no
@@ -244,6 +244,22 @@ class TestEvalCost:
         for i in range(4):
             np.testing.assert_allclose(R[i], residuals(X0[i], W[i], Y[i]),
                                        rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("x_init,w_seq,message", [
+        ((np.nan, 1.0), None, "^x_init must be finite$"),
+        (None, np.full((3, 3), np.nan), "^w_seq must be finite$"),
+        (np.zeros(3), None, r"^x_init must fill shape \(2,\), got 3 values$"),
+        (None, np.zeros(8), r"^w_seq must fill shape \(3, 3\), got 8 values$")],
+        ids=["nan_x_init", "nan_w_seq", "long_x_init", "short_w_seq"])
+    def test_bad_candidate_rejected(self, bench_model, bench_cert, x_init, w_seq,
+                                    message):
+        # Rejected by name, not as a NaN cost or a numpy broadcast error.
+        window = MheWindow(delta=0, prior=np.array([0.1, 4.5]),
+                           measurements=np.zeros((3, 1)))
+        x_init = window.prior if x_init is None else x_init
+        w_seq = np.zeros((3, 3)) if w_seq is None else w_seq
+        with pytest.raises(ConfigurationError, match=message):
+            eval_cost(window, x_init, w_seq, bench_model, bench_cert, 5.0)
 
 
 def explicit_cost(window, x_init, w_seq, model, cert, alpha):
@@ -423,6 +439,79 @@ class TestSolver:
         window, _, _ = bench_window(bench_model, bench_cert)
         sol = solve_nlp(window, bench_model, bench_cert, 5.0)
         assert sol.iterations <= 2
+
+    @pytest.mark.parametrize("zero_residual", [False, True])
+    def test_damping_exhausted(self, bench_model, bench_cert, monkeypatch,
+                               zero_residual):
+        """Every trial goes uphill, so the damping runs out at the start. The
+        solve has converged only if the start is stationary: with the true
+        state as the prior and no disturbances every residual is zero, while
+        the poor prior of bench_window is far from the optimum."""
+        calls = {"rollout": 0, "step": 0}
+
+        def counting_rollout(*args):
+            calls["rollout"] += 1
+            return rollout(*args)
+
+        def uphill(A, g, z, lo, hi):
+            calls["step"] += 1
+            return np.clip(z + 1.0, lo, hi)
+
+        window, _, _ = bench_window(bench_model, bench_cert)
+        if zero_residual:
+            x0 = np.array([3.0, 1.0])
+            _, ys = rollout(bench_model, x0, np.zeros((10, bench_model.q)))
+            window = MheWindow(delta=0, prior=x0, measurements=ys)
+        monkeypatch.setattr(mhe, "rollout", counting_rollout)
+        monkeypatch.setattr(mhe, "_boxed_step", uphill)
+        sol = solve_nlp(window, bench_model, bench_cert, 5.0)
+        # One rollout of the start, then one per trial at damping 1e-3..1e14.
+        assert (sol.iterations, calls["step"], calls["rollout"]) == (1, 18, 19)
+        np.testing.assert_array_equal(sol.x_init, window.prior)
+        np.testing.assert_array_equal(sol.w_seq, 0.0)
+        assert sol.converged == zero_residual
+        assert (sol.cost == 0.0) == zero_residual
+
+    def test_singular_step_retried_with_more_damping(self, bench_model, bench_cert,
+                                                     monkeypatch):
+        matrices = []
+        boxed_step = mhe._boxed_step
+
+        def singular_once(A, g, z, lo, hi):
+            matrices.append(A.copy())
+            if len(matrices) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return boxed_step(A, g, z, lo, hi)
+
+        monkeypatch.setattr(mhe, "_boxed_step", singular_once)
+        window, _, _ = bench_window(bench_model, bench_cert)
+        sol = solve_nlp(window, bench_model, bench_cert, 5.0)
+        assert sol.converged
+        first, retry = matrices[:2]
+        off_diagonal = ~np.eye(len(first), dtype=bool)
+        np.testing.assert_array_equal(retry[off_diagonal], first[off_diagonal])
+        # first = JtJ + lam0 diag(scale), with scale = diag(JtJ) clipped at 1e-12.
+        lam0 = mhe.LM_INITIAL_DAMPING
+        scale = np.clip(np.diag(first) / (1.0 + lam0), 1e-12, None)
+        np.testing.assert_allclose(np.diag(retry - first),
+                                   (mhe.LM_DAMPING_INCREASE - 1.0) * lam0 * scale,
+                                   rtol=1e-12)
+
+    def test_semidefinite_weight(self):
+        # Cholesky fails on a singular weight; the eigenvalue fallback factors it.
+        mat = np.diag([2.0, 0.0])
+        U = mhe._sqrt_factor(mat)
+        np.testing.assert_allclose(U.T @ U, mat, rtol=1e-15, atol=0.0)  # sqrt(2)^2
+        # With R = 0 the outputs cost nothing: the optimum is the prior with
+        # zero disturbances, whatever was measured.
+        model = scalar_linear_model()
+        cert = dataclasses.replace(scalar_cert(), R=np.array([[0.0]]))
+        window = MheWindow(delta=0, prior=np.array([1.2]),
+                           measurements=np.array([[2.0], [-1.0]]))
+        sol = solve_nlp(window, model, cert, 2.0)
+        assert sol.converged and sol.cost == 0.0
+        np.testing.assert_array_equal(sol.x_init, window.prior)
+        np.testing.assert_array_equal(sol.w_seq, 0.0)
 
 
 class TestAssembledSolution:
