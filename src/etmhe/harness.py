@@ -261,20 +261,27 @@ def verify_proposition1(cfg: SimConfig) -> EquivalenceReport:
                              n_events=trace.n_events)
 
 
-def run_alpha_sweep(cfg: SimConfig, alphas: Sequence[float],
-                    seeds: Sequence[int]) -> List[Tuple[SimConfig, SimTrace]]:
-    """Closed-loop runs over a grid of trigger sensitivities and seeds, as
-    (config, trace) pairs, alpha-major.
-
-    Each (alpha, seed) pair replays the identical disturbance realization
-    for its seed, so event counts across alpha isolate the trigger effect.
-    """
+def sweep_configs(cfg: SimConfig, alphas: Sequence[float],
+                  seeds: Sequence[int]) -> List[SimConfig]:
+    """The configs of an alpha x seed grid, alpha-major. An empty list, a
+    repeated alpha or seed, and an invalid point are rejected."""
     if not len(alphas) or not len(seeds):
         raise ConfigurationError("alpha and seed lists must be nonempty")
     if len({float(a) for a in alphas}) < len(alphas) or len(set(seeds)) < len(seeds):
         raise ConfigurationError("a sweep may not repeat an alpha or a seed")
-    batch = [replace(cfg, alpha=float(alpha), seed=seed)
-             for alpha in alphas for seed in seeds]
+    return [replace(cfg, alpha=float(alpha), seed=seed)
+            for alpha in alphas for seed in seeds]
+
+
+def run_alpha_sweep(cfg: SimConfig, alphas: Sequence[float],
+                    seeds: Sequence[int]) -> List[Tuple[SimConfig, SimTrace]]:
+    """Closed-loop runs over a grid of trigger sensitivities and seeds, as
+    (config, trace) pairs, alpha-major (sweep_configs), in one batch.
+
+    Each (alpha, seed) pair replays the identical disturbance realization
+    for its seed, so event counts across alpha isolate the trigger effect.
+    """
+    batch = sweep_configs(cfg, alphas, seeds)
     return list(zip(batch, run_closed_loop_batch(batch)))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -136,21 +137,24 @@ def cost_residuals(window: MheWindow, cert: IossCertificate, alpha: float):
 def eval_cost(window: MheWindow, x_init: Array, w_seq: Array,
               model: SystemModel, cert: IossCertificate, alpha: float) -> float:
     """Discounted least-squares cost of a candidate (x_init, w_seq)."""
-    x_init = _finite_array("x_init", [x_init], (model.n,))
-    w_seq = _finite_array("w_seq", [w_seq], (window.horizon, model.q))
+    x_init = _finite_array("x_init", x_init, (model.n,))
+    w_seq = _finite_array("w_seq", w_seq, (window.horizon, model.q))
     _, y_seq = rollout(model, x_init, w_seq)
     r = cost_residuals(window, cert, alpha)(x_init, w_seq, y_seq)
     return float(r @ r)
 
 
-def _finite_array(name: str, parts: Sequence[Array], shape: tuple) -> Array:
-    """The parts' values, in order, as one finite array of the given shape."""
-    z = np.concatenate([np.asarray(part, dtype=float).ravel() for part in parts])
-    if z.size != np.prod(shape):
-        raise ConfigurationError(f"{name} must fill shape {shape}, got {z.size} values")
-    if not np.isfinite(z).all():
+def _finite_array(name: str, value: Array, shape: tuple) -> Array:
+    """value as a finite array of the given shape, from that shape or flat."""
+    v = np.asarray(value, dtype=float)
+    if v.size != math.prod(shape):
+        raise ConfigurationError(f"{name} must fill shape {shape}, got {v.size} values")
+    if v.shape not in (shape, (v.size,)):
+        raise ConfigurationError(f"{name} must have shape {shape} or be flat, "
+                                 f"got shape {v.shape}")
+    if not np.isfinite(v).all():
         raise ConfigurationError(f"{name} must be finite")
-    return z.reshape(shape)
+    return v.reshape(shape)
 
 
 def _sqrt_factor(mat: Array) -> Array:
@@ -280,9 +284,18 @@ def _lm(window: MheWindow, model: SystemModel, cert: IossCertificate,
 
     if warm_start is None:
         warm_start = (window.prior, np.zeros(Mt * q))
-    z = np.clip(_finite_array("warm start", warm_start, (nz,)), lo, hi)
+    if len(warm_start) != 2:
+        raise ConfigurationError("warm start must be a pair (x_init, w_seq)")
+    z = np.concatenate([_finite_array("warm start", part, shape).ravel()
+                        for part, shape in zip(warm_start, ((n,), (Mt, q)))])
+    z = np.clip(z, lo, hi)
 
     cost, R, h_fd, x_seq, y_seq = yield from evaluate(z)
+    if not math.isfinite(cost):
+        # The inputs are finite, so something overflowed: no step can fix it.
+        raise ConfigurationError(
+            f"window cost not finite at the start, alpha = {alpha!r}: "
+            "alpha, the weights P2, Q, R or the rollout overflow")
     lam = LM_INITIAL_DAMPING
     converged = False
     iterations = 0

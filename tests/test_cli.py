@@ -1,6 +1,7 @@
 """Config parsing, CSV output and command-line entry points."""
 
 import dataclasses
+import multiprocessing
 import os
 import re
 import subprocess
@@ -363,6 +364,54 @@ class TestCommands:
         assert code == 2
         assert "repeat an alpha or a seed" in capsys.readouterr().err
         assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_sweep_output_does_not_depend_on_cpus(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # With two usable CPUs the parent runs seeds 0 and 1 and one spawned
+        # worker runs seed 2; the CSV and stdout are those of one CPU.
+        cfg = write_cfg(tmp_path, GOOD.replace("T = 100", "T = 30"))
+        in_parent = []
+        real = cli.run_alpha_sweep
+
+        def recorded(cfg, alphas, seeds):
+            in_parent.append(list(seeds))
+            return real(cfg, alphas, seeds)
+
+        monkeypatch.setattr(cli, "run_alpha_sweep", recorded)
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / f"out{cpus}"
+            assert main(["sweep", "--config", str(cfg), "--alphas", "0,5",
+                         "--seeds", "0,1,2", "--out", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            outputs.append(((out / "sweep.csv").read_bytes(), capsys.readouterr().out))
+        assert in_parent == [[0, 1, 2], [0, 1]]
+        assert outputs[1] == outputs[0]
+        csv, stdout = outputs[0]
+        assert len(csv.splitlines()) == 1 + 6 * 31 and stdout.count("\n") == 6
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_sweep_repeat_across_shares_exit_code(self, tmp_path, capsys,
+                                                  monkeypatch, cpus):
+        # Split in two, 1,2,1 puts a 1 in each share: the whole grid is
+        # checked before any share runs.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        code = main(["sweep", "--config", str(CONFIG_PATH), "--alphas", "0,5",
+                     "--seeds", "1,2,1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "repeat an alpha or a seed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("alpha", ["1e307", "1e308"])
+    def test_overflowing_alpha_exit_code(self, tmp_path, capsys, alpha):
+        # The cost overflows at the first solve: a config error, not a run
+        # that goes on unconverged and reports no violation.
+        cfg = write_cfg(tmp_path, GOOD.replace("alpha = 5", f"alpha = {alpha}"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["check-rges", "--config", str(cfg)]) == 2
+        assert "window cost not finite at the start" in capsys.readouterr().err
 
     def test_verify_prop1_passes(self, tmp_path, capsys):
         code = main(["verify-prop1", "--config", str(CONFIG_PATH),

@@ -212,6 +212,9 @@ class TestClosedLoop:
                 run_alpha_sweep(bench_cfg, [5.0], [value])
 
 
+A_3X2 = np.array([[0.4, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.2]])
+
+
 def linear_model_3x2():
     """x+ = A x + (w1, w2, w3), y = (x1 + w4, x2 + x3 + w5): n=3, q=5, p=2,
     with W = [-b, b], b = (0.01, 0.01, 0.01, 0.05, 0.05).
@@ -220,7 +223,7 @@ def linear_model_3x2():
     calls bit for bit. |A|_2 < 0.5, so V = |x - x'|^2 dissipates with
     eta = 0.5 and Q = 2 on the process noise.
     """
-    A = np.array([[0.4, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.2]])
+    A = A_3X2
 
     def f(x, w):
         return np.stack([A[i, 0] * x[..., 0] + A[i, 1] * x[..., 1]
@@ -305,6 +308,22 @@ class TestLockstepBatch:
         cfgs = [dataclasses.replace(cfg, alpha=alpha, seed=seed)
                 for alpha in (0.0, 5.0) for seed in (0, 1)]
         self.assert_equal_to_serial(cfgs, run_closed_loop_batch(cfgs))
+
+    def test_matmul_model_matches_serial_to_rounding(self):
+        # The same model written as x @ A.T + w: a batched matmul may round
+        # a row differently from the unbatched one, so lockstep runs equal
+        # separate runs only to rounding. They must still fire at the same
+        # steps; the tolerance on the estimates was fixed before measuring.
+        C = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        cfg = linear_3x2_cfg()
+        model = dataclasses.replace(cfg.model, f=lambda x, w: x @ A_3X2.T + w[..., :3],
+                                    h=lambda x, w: x @ C.T + w[..., 3:])
+        cfgs = [dataclasses.replace(cfg, model=model, T=60, alpha=alpha, seed=seed)
+                for alpha in (0.0, 5.0) for seed in range(6)]
+        for cfg, trace in zip(cfgs, run_closed_loop_batch(cfgs)):
+            serial = run_closed_loop(cfg)
+            assert np.array_equal(trace.gamma, serial.gamma), (cfg.alpha, cfg.seed)
+            np.testing.assert_allclose(trace.xhat, serial.xhat, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("field,value", [("M", 20), ("T", 41),
                                              ("model", None), ("cert", None)])

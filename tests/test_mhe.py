@@ -1,6 +1,7 @@
 """Window bookkeeping, cost evaluation and the least-squares solver."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,20 @@ class TestMheConfig:
                                match="^alpha must be finite and nonnegative$"):
                 call()
 
+    @pytest.mark.parametrize("alpha", [1e307, 1e308])
+    def test_overflowing_alpha_rejected(self, bench_cfg, alpha):
+        # A finite alpha whose cost overflows (inf at 1e307, NaN at 1e308)
+        # fails the first solve by name, rather than running on unconverged.
+        # numpy warns of the overflow first; tier-1 turns that into an error.
+        cfg = dataclasses.replace(bench_cfg, alpha=alpha, T=5)
+        window, _, _ = bench_window(cfg.model, cfg.cert)
+        message = "^" + re.escape(f"window cost not finite at the start, alpha = {alpha!r}:")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call in (lambda: solve_nlp(window, cfg.model, cfg.cert, alpha),
+                         lambda: run_closed_loop(cfg)):
+                with pytest.raises(ConfigurationError, match=message):
+                    call()
+
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_horizon_at_least_one(self, bench_cfg, horizon):
         with pytest.raises(ConfigurationError, match="at least 1"):
@@ -262,6 +277,18 @@ class TestEvalCost:
             eval_cost(window, x_init, w_seq, bench_model, bench_cert, 5.0)
 
 
+    def test_disturbances_flat_or_in_shape(self, bench_model, bench_cert):
+        # ws is (10, 3); its transpose has the right number of values but
+        # would be read in another order, so it is rejected by name.
+        window, xs, ws = bench_window(bench_model, bench_cert)
+        cost = eval_cost(window, xs[0], ws, bench_model, bench_cert, 5.0)
+        assert eval_cost(window, xs[0], ws.ravel(), bench_model, bench_cert,
+                         5.0) == cost
+        with pytest.raises(ConfigurationError, match=r"^w_seq must have shape "
+                           r"\(10, 3\) or be flat, got shape \(3, 10\)$"):
+            eval_cost(window, xs[0], ws.T, bench_model, bench_cert, 5.0)
+
+
 def explicit_cost(window, x_init, w_seq, model, cert, alpha):
     """Oracle: the window cost summed term by term."""
     eta, Mt = cert.eta, window.horizon
@@ -330,6 +357,21 @@ class TestSolver:
         with pytest.raises(ConfigurationError):
             solve_nlp(window, bench_model, bench_cert, 5.0,
                       warm_start=(np.zeros(2), np.zeros((3, 3))))
+
+    def test_warm_start_flat_or_in_shape(self, bench_model, bench_cert):
+        # The default warm start passes the disturbances flat; a transposed
+        # sequence would be a different start point, so it is rejected.
+        window, xs, ws = bench_window(bench_model, bench_cert)
+        shaped = solve_nlp(window, bench_model, bench_cert, 5.0, warm_start=(xs[0], ws))
+        flat = solve_nlp(window, bench_model, bench_cert, 5.0,
+                         warm_start=(xs[0], ws.ravel()))
+        assert np.array_equal(flat.x_seq, shaped.x_seq) and flat.cost == shaped.cost
+        with pytest.raises(ConfigurationError, match=r"^warm start must have shape "
+                           r"\(10, 3\) or be flat, got shape \(3, 10\)$"):
+            solve_nlp(window, bench_model, bench_cert, 5.0, warm_start=(xs[0], ws.T))
+        with pytest.raises(ConfigurationError, match="must be a pair"):
+            solve_nlp(window, bench_model, bench_cert, 5.0,
+                      warm_start=(xs[0], ws, ws))
 
     @pytest.mark.parametrize("part", [0, 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
