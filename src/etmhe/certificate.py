@@ -181,6 +181,7 @@ def check_dissipation(cert: IossCertificate, model: SystemModel, region: Box,
     """
     if not np.allclose(cert.P1, cert.P2, rtol=1e-12, atol=0.0):
         raise ConfigurationError("dissipation check supports only P1 == P2")
+    require_integer("n_samples", n_samples)
     if n_samples < 8:
         raise ConfigurationError("need at least 8 samples")
     if region.dim != model.n or not np.all(np.isfinite(region.lower)) \

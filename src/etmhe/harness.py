@@ -72,7 +72,11 @@ class SimConfig:
 
 @dataclass
 class SimTrace:
-    """Per-step record of one closed-loop run; arrays indexed by t = 0..T."""
+    """Per-step record of one closed-loop run; arrays indexed by t = 0..T.
+
+    delta[t] = 0 at an event, else t - eps[t]: the steps since the last event.
+    tx_count[t] = t - max(t - M, eps[t]) at an event, else 0: the outputs sent.
+    """
 
     x: Array
     xhat: Array
@@ -142,13 +146,11 @@ def run_closed_loop_batch(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
     xhat = np.empty((K, T + 1, model.n))
     xhat[:, 0] = [c.xhat0 for c in cfgs]
     gamma = np.zeros((K, T + 1), dtype=int)
-    delta = np.zeros((K, T + 1), dtype=int)
     eps = np.zeros((K, T + 1), dtype=int)
     d = np.zeros((K, T + 2))
     iters = np.zeros((K, T + 1), dtype=int)
     converged = np.ones((K, T + 1), dtype=bool)
     cost = np.full((K, T + 1), np.nan)
-    tx = np.zeros((K, T + 1), dtype=int)
     trig_lhs = np.full((K, T + 1), np.nan)
     trig_threshold = np.full((K, T + 1), np.nan)
     gamma[:, 0] = 1
@@ -165,9 +167,6 @@ def run_closed_loop_batch(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
             trig_lhs[k, t] = etm[k].lhs
             trig_threshold[k, t] = etm[k].threshold(cert.eta)
             if evaluate_trigger(etm[k], cert):
-                # Send the outputs since the last event, at most M; older
-                # ones went before.
-                tx[k, t] = t - max(t - M, etm[k].eps)
                 window = MheWindow(delta=0, prior=xhat[k, t - Mt],
                                    measurements=y[k, t - Mt:t])
                 warm = None
@@ -178,24 +177,24 @@ def run_closed_loop_batch(cfgs: Sequence[SimConfig]) -> List[SimTrace]:
                     warm = ext.x_seq[-Mt - 1], ext.w_seq[-Mt:]
                 fired.append(k)
                 problems.append((window, cert, cfg.alpha, warm))
-            else:
-                xhat[k, t] = etm[k].pred  # f(xhat[t-1], 0), computed by extend
-                delta[k, t] = t - etm[k].eps
-                d[k, t + 1] = d[k, t]
-        if not problems:
-            continue
         for k, (window, *_), sol in zip(fired, problems,
                                         solve_nlp_batch(problems, model)):
-            xhat[k, t] = sol.estimate
-            d_next = compute_d(sol, window, cert)
             gamma[k, t] = 1
-            d[k, t + 1] = d_next
             iters[k, t] = sol.iterations
             converged[k, t] = sol.converged
             cost[k, t] = sol.cost
             last_sol[k] = sol
-            etm[k] = advance(etm[k], d_next, xhat[k, t])
+            etm[k] = advance(etm[k], compute_d(sol, window, cert), sol.estimate)
+        # A fired run's state now holds its estimate and new d; a silent
+        # run's still holds f(xhat[t-1], 0), computed by extend, and the old d.
+        xhat[:, t] = [s.pred for s in etm]
+        d[:, t + 1] = [s.d for s in etm]
 
+    steps = np.arange(T + 1)
+    delta = np.where(gamma == 1, 0, steps - eps)
+    # An event sends the outputs since the last event, at most M; older ones
+    # went before.
+    tx = gamma * (steps - np.maximum(steps - M, eps))
     err = np.linalg.norm(x - xhat, axis=2)
     return [SimTrace(x=x[k], xhat=xhat[k], y=y[k], w=w[k], gamma=gamma[k],
                      delta=delta[k], eps=eps[k], d=d[k], err_norm=err[k],
@@ -248,12 +247,9 @@ def verify_proposition1(cfg: SimConfig) -> EquivalenceReport:
             oracle_xhat[t] = sol.estimate
             oracle_cost[t] = sol.cost
 
-    cost_errs = []
-    for t in range(1, T + 1):
-        dt = int(trace.delta[t])
-        if dt > 0:
-            ref = cert.eta ** dt * oracle_cost[int(trace.eps[t])]
-            cost_errs.append(abs(oracle_cost[t] - ref) / max(abs(ref), 1e-30))
+    silent = trace.delta > 0
+    ref = cert.eta ** trace.delta[silent] * oracle_cost[trace.eps[silent]]
+    cost_errs = np.abs(oracle_cost[silent] - ref) / np.maximum(np.abs(ref), 1e-30)
     # np.max, unlike the builtin max, lets a NaN through.
     disc = np.abs(oracle_xhat[1:] - trace.xhat[1:])
     return EquivalenceReport(max_discrepancy=float(np.max(disc, initial=0.0)),

@@ -48,6 +48,11 @@ class TestGeneralizedEigenvalue:
         lam = max_generalized_eigenvalue(bench_cert.P2, bench_cert.P1)
         assert lam == pytest.approx(1.0, rel=1e-10)
 
+    def test_rejects_unequal_shapes(self):
+        with pytest.raises(ConfigurationError,
+                           match="^A and B must have equal shape$"):
+            max_generalized_eigenvalue(np.eye(2), np.eye(3))
+
 
 class TestIossCertificate:
     def test_benchmark_certificate_valid(self, bench_cert):
@@ -92,6 +97,24 @@ class TestIossCertificate:
                                Q=np.diag([1.0, 0.0, 1.0]),
                                R=np.zeros((1, 1)), eta=0.5)
         assert cert.eta == 0.5
+
+    def test_rejects_indefinite_weight(self):
+        with pytest.raises(ConfigurationError,
+                           match="^Q must be positive semidefinite$"):
+            IossCertificate(P1=P_BENCH, P2=P_BENCH, Q=np.diag([1e3, -1.0, 1e3]),
+                            R=R_BENCH, eta=ETA_BENCH)
+
+    def test_rejects_unequal_p_shapes(self):
+        with pytest.raises(ConfigurationError,
+                           match="^P1 and P2 must have equal shape$"):
+            IossCertificate(P1=P_BENCH, P2=np.eye(3), Q=Q_BENCH, R=R_BENCH,
+                            eta=ETA_BENCH)
+
+    def test_scalar_weight_is_one_by_one(self):
+        scalar = IossCertificate(P1=P_BENCH, P2=P_BENCH, Q=Q_BENCH, R=1e3,
+                                 eta=ETA_BENCH)
+        assert scalar.R.shape == (1, 1)
+        np.testing.assert_array_equal(scalar.R, R_BENCH)
 
 
 class TestMinHorizon:
@@ -219,6 +242,21 @@ class TestDissipationCheck:
                               np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
             check_dissipation(bench_cert, bench_model, self.REGION, 4,
+                              np.random.default_rng(0))
+
+    def test_requires_nonempty_region(self, bench_cert, bench_model):
+        flat = Box(np.zeros(2), np.array([5.0, 0.0]))
+        with pytest.raises(ConfigurationError, match="^empty check region$"):
+            check_dissipation(bench_cert, bench_model, flat, 100,
+                              np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_samples", [100.0, 100.5])
+    def test_rejects_non_integer_sample_count(self, bench_cert, bench_model,
+                                              n_samples):
+        # Rejected by name, not as a TypeError deep inside numpy.
+        with pytest.raises(ConfigurationError,
+                           match=f"^n_samples must be an integer, got {n_samples!r}$"):
+            check_dissipation(bench_cert, bench_model, self.REGION, n_samples,
                               np.random.default_rng(0))
 
     def test_requires_finite_disturbance_set(self):

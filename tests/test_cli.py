@@ -127,6 +127,26 @@ class TestParseConfig:
             results.add((done.returncode, done.stderr))
         assert results == {(2, f"error: {path}: missing key 'P1' in [certificate]\n")}
 
+    @pytest.mark.parametrize("old,new,line,message", [
+        ("tau = 0.1", "tau 0.1", "tau 0.1", "expected 'key = value'"),
+        ("# Batch", "k1 = 0.16\n# Batch", "k1 = 0.16", "entry outside any section"),
+        ("P1 = 4.539, 4.171; 4.171, 3.834", "P1 = 4.539, 4.171; 4.171",
+         "P1 = 4.539, 4.171; 4.171", "ragged matrix"),
+        ("name = batch_reactor", "name = tank", "name = tank",
+         "unknown model 'tank'")])
+    def test_malformed_entry_exit_code(self, tmp_path, capsys, old, new, line,
+                                       message):
+        text = GOOD.replace(old, new, 1)
+        path = write_cfg(tmp_path, text)
+        lineno = text.splitlines().index(line) + 1
+        assert main(["min-horizon", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
+
+    def test_missing_section_exit_code(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, GOOD[:GOOD.index("[sim]")])
+        assert main(["min-horizon", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: missing section [sim]\n"
+
     def test_duplicate_key(self, tmp_path):
         path = write_cfg(tmp_path, GOOD.replace("T = 100", "T = 100\nT = 50"))
         with pytest.raises(ConfigurationError, match="duplicate"):
@@ -477,6 +497,26 @@ class TestCommands:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_runtime_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        # Any other exception is reported the same way, with exit code 1.
+        def broken(cfg):
+            raise RuntimeError("solver blew up")
+
+        monkeypatch.setattr(cli, "run_closed_loop", broken)
+        code = main(["simulate", "--config", str(CONFIG_PATH),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: solver blew up\n"
+
+    def test_usable_cpus_without_affinity_call(self, monkeypatch):
+        # Where os has no sched_getaffinity, every CPU counts; an unknown
+        # count is one CPU.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
 
     def test_missing_config_exit_code(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.cfg"),

@@ -196,6 +196,20 @@ class TestClosedLoop:
         with pytest.raises(ConfigurationError, match="horizon must be at least 1"):
             dataclasses.replace(bench_cfg, M=0, T=5)
 
+    def test_zero_length_rejected(self, bench_cfg):
+        with pytest.raises(ConfigurationError,
+                           match="^simulation length must be at least 1$"):
+            dataclasses.replace(bench_cfg, T=0)
+
+    @pytest.mark.parametrize("field", ["x0", "xhat0"])
+    def test_initial_state_checked(self, bench_cfg, field):
+        with pytest.raises(ConfigurationError, match=f"^{field} has wrong dimension$"):
+            dataclasses.replace(bench_cfg, **{field: np.array([1.0, 2.0, 3.0])})
+        # The batch reactor's X is the nonnegative quadrant.
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field} outside the admissible state set$"):
+            dataclasses.replace(bench_cfg, **{field: np.array([-0.1, 2.0])})
+
     @pytest.mark.parametrize("field,value", [("M", 2.5), ("M", np.float64(5.0)),
                                              ("M", 20.5), ("T", 10.5),
                                              ("seed", 2.5)])

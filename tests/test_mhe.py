@@ -555,6 +555,15 @@ class TestSolver:
         np.testing.assert_array_equal(sol.x_init, window.prior)
         np.testing.assert_array_equal(sol.w_seq, 0.0)
 
+    def test_boxed_step_with_every_coordinate_clamped(self):
+        # The free step (30, -30) leaves the box on both sides, so no
+        # coordinate stays free and the step is its projection on the box.
+        A = np.array([[2.0, 1.0], [1.0, 2.0]])
+        g = np.array([-30.0, 30.0])
+        z, lo, hi = np.zeros(2), -np.ones(2), np.ones(2)
+        np.testing.assert_allclose(np.linalg.solve(A, -g), [30.0, -30.0])
+        np.testing.assert_array_equal(mhe._boxed_step(A, g, z, lo, hi), [1.0, -1.0])
+
 
 class TestAssembledSolution:
     def test_open_loop_extension(self, bench_model, bench_cert):

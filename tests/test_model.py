@@ -106,6 +106,26 @@ class TestBatchReactor:
         assert free.x_set.contains(np.array([-10.0, -10.0]))
 
 
+class TestSystemModel:
+    @pytest.mark.parametrize("field", ["n", "q", "p"])
+    def test_rejects_empty_dimension(self, bench_model, field):
+        with pytest.raises(ConfigurationError, match="^invalid model dimensions$"):
+            dataclasses.replace(bench_model, **{field: 0})
+
+    @pytest.mark.parametrize("name", ["x_set", "w_set"])
+    def test_rejects_set_of_other_dimension(self, bench_model, name):
+        dim = getattr(bench_model, name).dim
+        with pytest.raises(ConfigurationError,
+                           match=f"^{name} dimension {dim + 1} != {dim}$"):
+            dataclasses.replace(bench_model, **{name: Box.unbounded(dim + 1)})
+
+    def test_disturbance_set_must_contain_zero(self, bench_model):
+        w_set = Box(np.array([-1e-3, 1e-4, -0.1]), np.array([1e-3, 1e-3, 0.1]))
+        with pytest.raises(ConfigurationError,
+                           match="^disturbance set must contain zero$"):
+            dataclasses.replace(bench_model, w_set=w_set)
+
+
 class TestDisturbanceBounds:
     def test_sampling_respects_bounds(self):
         b = np.array([1e-3, 1e-3, 0.1])

@@ -186,6 +186,15 @@ class TestComputeD:
         with pytest.raises(TriggerError):
             compute_d(sol, window, bench_cert)
 
+    def test_solution_must_match_window(self, bench_model, bench_cert):
+        ys, _ = simulate(bench_model, 6)
+        window = MheWindow(delta=0, prior=np.array([0.1, 4.5]), measurements=ys)
+        sol = solve_nlp(window, bench_model, bench_cert, 5.0)
+        shorter = MheWindow(delta=0, prior=window.prior, measurements=ys[1:])
+        with pytest.raises(TriggerError,
+                           match="^solution does not match the window$"):
+            compute_d(sol, shorter, bench_cert)
+
 
 class TestAdvance:
     def test_event_resets_bookkeeping(self):
