@@ -220,6 +220,13 @@ def _cmd_sweep(args) -> int:
     # equals its run_closed_loop trace (the batching contract of
     # SystemModel), so the output does not depend on the split.
     k = min(_usable_cpus(), len(seeds))
+    # Spawn starts a worker by re-running the main module, by its name or
+    # from its file. A script piped to python - has neither: run it here.
+    main_module = sys.modules["__main__"]
+    path = getattr(main_module, "__file__", None)
+    if (getattr(main_module.__spec__, "name", None) is None and path
+            and not os.path.isfile(path)):
+        k = 1
     # Contiguous shares, the first ones the larger: workers start up meanwhile.
     size, extra = divmod(len(seeds), k)
     bounds = [i * size + min(i, extra) for i in range(k + 1)]

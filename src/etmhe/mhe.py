@@ -211,60 +211,50 @@ def solve_nlp_batch(problems: Sequence[Tuple[MheWindow, IossCertificate, float,
                     model: SystemModel) -> List[MheSolution]:
     """solve_nlp on each (window, cert, alpha, warm_start), with shared rollouts.
 
-    The solves advance together: each round, the pending rollouts of all
-    solves are stacked into one batched rollout, each padded to the longest
-    horizon with zero disturbances; a solve reads back its own rows and its
-    own steps. Each solve's LM arithmetic is its own, and the model computes
-    each batch row as the unbatched call, so every solution equals the
-    solve_nlp one bit for bit.
+    The solves advance together. Each round, every unfinished solve is sent
+    its last reply and asks for the rollout of its rows (x_init, then the
+    flattened disturbances). The rows of all solves are stacked into one
+    batched rollout, zero-padded to the widest request: zero disturbances
+    on the padded steps. A solve is sent back the states of its first row
+    and the outputs of all its rows, over its own steps. Each solve's LM
+    arithmetic is its own, and the model computes each batch row as the
+    unbatched call, so every solution equals the solve_nlp one bit for bit.
     """
     solvers = [_lm(window, model, cert, alpha, warm)
                for window, cert, alpha, warm in problems]
     solutions: List[Optional[MheSolution]] = [None] * len(solvers)
-    pending = {}
-
-    def send(i, reply):
-        try:
-            pending[i] = solvers[i].send(reply)
-        except StopIteration as done:
-            solutions[i] = done.value
-
-    for i in range(len(solvers)):
-        send(i, None)
+    replies = {}
     n, q = model.n, model.q
-    while pending:
-        requests, pending = pending, {}
-        members = list(requests)
-        lengths = [problems[i][0].horizon for i in members]
-        sizes = [n + L * q + 1 for L in lengths]  # z and its nz perturbations
-        starts = np.cumsum([0] + sizes[:-1]).tolist()
-        L_max = max(lengths)
-        Z = np.zeros((sum(sizes), n + L_max * q))
-        for i, a, rows in zip(members, starts, sizes):
-            z, h_fd = requests[i]
-            block = Z[a:a + rows, :rows - 1]
-            block[:] = z
-            np.fill_diagonal(block[1:], z + h_fd)
-        x0 = Z[:, :n]
-        w = Z[:, n:].reshape(len(Z), L_max, q)
-        states, outputs = rollout(model, x0, w)
-        replies = [(x0[a:a + rows], w[a:a + rows, :L], states[a, :L + 1].copy(),
-                    outputs[a:a + rows, :L])
-                   for a, rows, L in zip(starts, sizes, lengths)]
+    while True:
+        asks = []
+        for i, solver in enumerate(solvers):
+            if solutions[i] is None:
+                try:
+                    asks.append((i, solver.send(replies.pop(i, None))))
+                except StopIteration as done:
+                    solutions[i] = done.value
+        if not asks:
+            return solutions
+        starts = np.cumsum([0] + [len(Z) for _, Z in asks]).tolist()
+        stacked = np.zeros((starts[-1], max(Z.shape[1] for _, Z in asks)))
+        for (_, Z), a in zip(asks, starts):
+            stacked[a:a + len(Z), :Z.shape[1]] = Z
+        states, outputs = rollout(model, stacked[:, :n],
+                                  stacked[:, n:].reshape(len(stacked), -1, q))
+        for (i, Z), a in zip(asks, starts):
+            L = (Z.shape[1] - n) // q
+            replies[i] = (states[a, :L + 1].copy(), outputs[a:a + len(Z), :L])
         # Only the replies hold this round's arrays, and each solve drops
         # its reply before it asks for the next rollout.
-        del Z, x0, w, states, outputs
-        for i in members:
-            send(i, replies.pop(0))
-    return solutions
+        del stacked, states, outputs
 
 
 def _lm(window: MheWindow, model: SystemModel, cert: IossCertificate,
         alpha: float, warm_start: Optional[Tuple[Array, Array]]):
-    """The LM solve of solve_nlp as a generator. It yields each rollout it
-    needs as (z, h_fd), is sent (x0, w, x_seq, outputs): x0, w and outputs
-    of the nz+1 rows z, z + h_i e_i, the states of row 0, and returns the
-    MheSolution."""
+    """The LM solve of solve_nlp as a generator. For each rollout it needs,
+    it yields the rows Z = [z; z + h_1 e_1; ...; z + h_nz e_nz] of z and its
+    forward-difference perturbations, is sent (x_seq, outputs): the states
+    of row 0 and the outputs of every row, and returns the MheSolution."""
     Mt, n, q = window.horizon, model.n, model.q
     nz = n + Mt * q
     residuals = cost_residuals(window, cert, alpha)
@@ -278,8 +268,10 @@ def _lm(window: MheWindow, model: SystemModel, cert: IossCertificate,
         one batched rollout, the steps h, and copies of z's states and
         outputs."""
         h_fd = 1e-7 * (1.0 + np.abs(z))
-        x0, w, x_seq, outputs = yield z, h_fd
-        R = residuals(x0, w, outputs)
+        Z = np.tile(z, (nz + 1, 1))
+        np.fill_diagonal(Z[1:], z + h_fd)
+        x_seq, outputs = yield Z
+        R = residuals(Z[:, :n], Z[:, n:].reshape(nz + 1, Mt, q), outputs)
         return float(R[0] @ R[0]), R, h_fd, x_seq, outputs[0].copy()
 
     if warm_start is None:

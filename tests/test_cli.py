@@ -411,6 +411,25 @@ class TestCommands:
         csv, stdout = outputs[0]
         assert len(csv.splitlines()) == 1 + 6 * 31 and stdout.count("\n") == 6
 
+    def test_sweep_from_script_piped_to_stdin(self, tmp_path, capsys, monkeypatch):
+        # A spawned worker would re-run the main module from its file, and a
+        # script piped to python - has none: the sweep runs in one process.
+        cfg = write_cfg(tmp_path, GOOD.replace("T = 100", "T = 30"))
+        args = ["sweep", "--config", str(cfg), "--alphas", "0,5", "--seeds", "0,1"]
+        script = ("import sys\nfrom etmhe import cli\ncli._usable_cpus = lambda: 2\n"
+                  f"sys.exit(cli.main({args + ['--out', str(tmp_path / 'piped')]!r}))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-"], input=script, capture_output=True,
+                              text=True, env=env, cwd=tmp_path, timeout=120)
+        assert done.returncode == 0, done.stderr
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(args + ["--out", str(tmp_path / "one")]) == 0
+        assert done.stdout == capsys.readouterr().out
+        assert ((tmp_path / "piped" / "sweep.csv").read_bytes()
+                == (tmp_path / "one" / "sweep.csv").read_bytes())
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_sweep_repeat_across_shares_exit_code(self, tmp_path, capsys,
                                                   monkeypatch, cpus):

@@ -456,6 +456,12 @@ class TestSolver:
             window = MheWindow(delta=delta, prior=window.prior,
                                measurements=window.measurements[:L - delta])
             problems.append((window, bench_cert, 5.0, None))
+        # A horizon-1 window and a warm-started copy of the first window, so
+        # that some solves finish rounds before others.
+        window, _, _ = bench_window(bench_model, bench_cert, t=1)
+        problems.append((window, bench_cert, 5.0, None))
+        first = solve_nlp(problems[0][0], bench_model, bench_cert, 5.0)
+        problems.append((problems[0][0], bench_cert, 5.0, (first.x_init, first.w_seq)))
         rows = []
 
         def counting(model, x_init, *args):
@@ -464,15 +470,16 @@ class TestSolver:
 
         monkeypatch.setattr(mhe, "rollout", counting)
         singles, calls = [], []
-        for window, cert, alpha, _ in problems:
+        for window, cert, alpha, warm in problems:
             rows.clear()
-            singles.append(solve_nlp(window, bench_model, cert, alpha))
+            singles.append(solve_nlp(window, bench_model, cert, alpha, warm))
             calls.append((len(rows), sum(rows)))
         rows.clear()
         batch = solve_nlp_batch(problems, bench_model)
         for sol, one in zip(batch, singles):
             for field in dataclasses.fields(sol):
                 assert np.array_equal(getattr(sol, field.name), getattr(one, field.name))
+        assert calls[-1][0] < calls[0][0]  # the warm copy finishes first
         assert len(rows) == max(n for n, _ in calls)
         assert sum(rows) == sum(total for _, total in calls)
 
