@@ -178,8 +178,7 @@ def write_trace_csv(trace: SimTrace, constants: RgesConstants,
     _write_csv(out_path, trace_columns(trace.x.shape[1], trace.y.shape[1]), rows)
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load(args)
+def _cmd_simulate(cfg: SimConfig, args) -> int:
     constants = rges_constants(cfg.cert, cfg.alpha, cfg.M)
     trace = run_closed_loop(cfg)
     out_dir = Path(args.out)
@@ -210,8 +209,7 @@ def _sweep_share(config_path: str, alphas, seeds) -> List[np.ndarray]:
     return _sweep_gammas(parse_config(config_path), alphas, seeds)
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load(args)
+def _cmd_sweep(cfg: SimConfig, args) -> int:
     alphas, seeds = args.alphas, args.seeds
     grid = sweep_configs(cfg, alphas, seeds)  # every point valid before any run
     # The seeds split into one share per usable CPU, each share over every
@@ -259,14 +257,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_min_horizon(args) -> int:
-    cfg = _load(args)
+def _cmd_min_horizon(cfg: SimConfig, args) -> int:
     print(min_horizon(cfg.cert))
     return 0
 
 
-def _cmd_verify_prop1(args) -> int:
-    cfg = _load(args)
+def _cmd_verify_prop1(cfg: SimConfig, args) -> int:
     report = verify_proposition1(cfg)
     print(f"max estimate discrepancy {report.max_discrepancy:.3e}, "
           f"max cost relative error {report.max_cost_rel_err:.3e}")
@@ -275,8 +271,7 @@ def _cmd_verify_prop1(args) -> int:
     return 0
 
 
-def _cmd_check_ioss(args) -> int:
-    cfg = _load(args)
+def _cmd_check_ioss(cfg: SimConfig, args) -> int:
     rng = np.random.default_rng(args.seed)
     report = check_dissipation(cfg.cert, cfg.model, args.region, args.samples, rng)
     print(f"samples {report.n_samples}, violations {report.n_violations}, "
@@ -285,8 +280,7 @@ def _cmd_check_ioss(args) -> int:
     return 0
 
 
-def _cmd_check_rges(args) -> int:
-    cfg = _load(args)
+def _cmd_check_rges(cfg: SimConfig, args) -> int:
     constants = rges_constants(cfg.cert, cfg.alpha, cfg.M)
     trace = run_closed_loop(cfg)
     report = check_rges(trace, constants)
@@ -368,7 +362,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_load(args), args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

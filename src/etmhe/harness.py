@@ -11,11 +11,11 @@ import numpy as np
 from .certificate import IossCertificate, RgesConstants, rges_bound
 # open_loop_predict and solve_nlp are not called here (the closed loop and
 # the oracle call solve_nlp_batch): perfbench/tracing.py wraps these names.
-from .mhe import (MheSolution, MheWindow, assemble_event_solution,
+from .mhe import (MheSolution, MheWindow, assemble_event_solution, compute_d,
                   open_loop_predict, rollout, solve_nlp, solve_nlp_batch)
 from .model import (Array, ConfigurationError, SystemModel, require_integer,
                     sample_disturbance)
-from .trigger import EtmState, advance, compute_d, evaluate_trigger, extend
+from .trigger import EtmState, advance, evaluate_trigger, extend
 
 POST_TRANSIENT_START = 30
 # The Prop-1 oracle solves up to this many consecutive steps in one batch

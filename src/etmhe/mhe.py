@@ -1,4 +1,4 @@
-"""Moving-horizon estimation: cost, single-shooting NLP solver, predictions."""
+"""Moving-horizon estimation: cost and statistic d, LM solver, predictions."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import numpy as np
 # min_horizon is not called here: perfbench/tracing.py wraps this name.
 from .certificate import IossCertificate, min_horizon
 from .model import ConfigurationError, SystemModel, require_integer
+from .trigger import TriggerError
 
 Array = np.ndarray
 
@@ -132,6 +133,20 @@ def cost_residuals(window: MheWindow, cert: IossCertificate, alpha: float):
                                r_y.reshape(batch + (-1,))], axis=-1)
 
     return residuals
+
+
+def compute_d(solution: MheSolution, window: MheWindow,
+              cert: IossCertificate) -> float:
+    """Threshold statistic d_{t+1} from a fresh event-time solution."""
+    if window.delta != 0:
+        raise TriggerError("d is computed only at event times")
+    if len(solution.w_seq) != window.horizon:
+        raise TriggerError("solution does not match the window")
+    # The discounted stage cost of the window: the cost at alpha = 0 without
+    # its prior term.
+    r = cost_residuals(window, cert, 0.0)(solution.x_init, solution.w_seq,
+                                          solution.y_seq)[len(solution.x_init):]
+    return float(r @ r)
 
 
 def eval_cost(window: MheWindow, x_init: Array, w_seq: Array,

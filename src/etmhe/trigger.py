@@ -8,7 +8,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .certificate import IossCertificate
-from .mhe import MheSolution, MheWindow, cost_residuals
 from .model import Array, SystemModel
 
 
@@ -64,20 +63,6 @@ def extend(state: EtmState, model: SystemModel, y_last: Array,
 def evaluate_trigger(state: EtmState, cert: IossCertificate) -> bool:
     """gamma_t: False (no event) only if lhs is strictly below the threshold."""
     return not state.lhs < state.threshold(cert.eta)
-
-
-def compute_d(solution: MheSolution, window: MheWindow,
-              cert: IossCertificate) -> float:
-    """Threshold statistic d_{t+1} from a fresh event-time solution."""
-    if window.delta != 0:
-        raise TriggerError("d is computed only at event times")
-    if len(solution.w_seq) != window.horizon:
-        raise TriggerError("solution does not match the window")
-    # The discounted stage cost of the window: the cost at alpha = 0 without
-    # its prior term.
-    r = cost_residuals(window, cert, 0.0)(solution.x_init, solution.w_seq,
-                                          solution.y_seq)[len(solution.x_init):]
-    return float(r @ r)
 
 
 def advance(state: EtmState, d_next: float, x_new: Array) -> EtmState:

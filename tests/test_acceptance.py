@@ -25,17 +25,22 @@ def report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
+def acceptance_runs(cfg, seeds):
+    """({seed: (event-triggered, always-solve) trace pair}, seconds taken),
+    each kind run as one lockstep batch."""
+    start = time.perf_counter()
+    et = run_closed_loop_batch([dataclasses.replace(cfg, seed=seed)
+                                for seed in seeds])
+    std = run_closed_loop_batch([dataclasses.replace(cfg, seed=seed, alpha=0.0)
+                                 for seed in seeds])
+    runs = dict(zip(seeds, zip(et, std)))
+    return runs, time.perf_counter() - start
+
+
 @pytest.fixture(scope="module")
 def seed_runs(bench_cfg):
-    """(event-triggered, always-solve) trace pairs for seeds 0..9, each
-    kind run as one lockstep batch."""
-    start = time.perf_counter()
-    et = run_closed_loop_batch([dataclasses.replace(bench_cfg, seed=seed)
-                                for seed in SEEDS])
-    std = run_closed_loop_batch([dataclasses.replace(bench_cfg, seed=seed, alpha=0.0)
-                                 for seed in SEEDS])
-    runs = dict(zip(SEEDS, zip(et, std)))
-    return runs, time.perf_counter() - start
+    """The trace pairs of seeds 0..9."""
+    return acceptance_runs(bench_cfg, SEEDS)
 
 
 def test_criterion_1_minimum_horizon(bench_cert):
@@ -136,7 +141,7 @@ def test_headline_fewer_solves_same_accuracy(bench_cfg, seed_runs, monkeypatch):
     ratios = [m.post_rmse_ratio for m in metrics]
     monkeypatch.setattr(harness, "evaluate_trigger", lambda state, cert: True)
     forced = run_closed_loop_batch([dataclasses.replace(bench_cfg, seed=seed)
-                                    for seed in SEEDS])
+                                    for seed in runs])
     forced_dev = [abs(performance_metrics(tr, std).post_rmse_ratio - 1.0)
                   for tr, (_, std) in zip(forced, runs.values())]
     ok = (min(reductions) >= 80.0 and np.median(ratios) <= 1.0

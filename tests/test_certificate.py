@@ -274,3 +274,59 @@ class TestDissipationCheck:
         b = check_dissipation(bench_cert, bench_model, self.REGION, 400,
                               np.random.default_rng(7))
         assert a == b
+
+
+def central_jacobian(fn, x, w, step=1.0):
+    """[d fn/dx, d fn/dw] at (x, w) by central differences: exact, up to
+    rounding, at any step for maps of degree at most two."""
+    z = np.concatenate([x, w])
+    cols = []
+    for e in step * np.eye(len(z)):
+        hi, lo = z + e, z - e
+        cols.append((fn(hi[:len(x)], hi[len(x):])
+                     - fn(lo[:len(x)], lo[len(x):])) / (2.0 * step))
+    return np.array(cols).T
+
+
+class TestExactDissipationRegion:
+    """Where the benchmark certificate holds, exactly.
+
+    batch_reactor's f is quadratic and h linear, so f(x, w) - f(x~, w~) =
+    A(m) dx + E dw exactly, with A at the midpoint m of the pair. The
+    dissipation inequality then holds for every pair with midpoint m if and
+    only if N(m) = [A E]' P [A E] - diag(eta P, Q) - [C D]' R [C D] <= 0.
+    lam_max(N) depends on m1 alone and is convex in it, so the two x1 edges
+    decide a box; its roots are x1 = 0.097421 and 4.529801.
+    """
+
+    BOX = Box(np.array([0.0975, 0.0]), np.array([4.529, 5.0]))
+
+    @staticmethod
+    def lam_max(cert, model, m):
+        F = central_jacobian(model.f, m, np.zeros(model.q))
+        H = central_jacobian(model.h, m, np.zeros(model.q))
+        weights = np.zeros((model.n + model.q,) * 2)
+        weights[:model.n, :model.n] = cert.eta * cert.P1
+        weights[model.n:, model.n:] = cert.Q
+        N = F.T @ cert.P1 @ F - weights - H.T @ cert.R @ H
+        return np.linalg.eigvalsh(N)[-1]
+
+    def test_box_edges_inside_roots(self, bench_cert, bench_model):
+        def lam(x1):
+            return self.lam_max(bench_cert, bench_model, np.array([x1, 1.0]))
+
+        # Measured: -9.60e-7 and -9.75e-6 at the edges, +9.07e-5 and
+        # +8.68e-4 at x1 = 0.09 and 4.6, just outside the roots.
+        assert lam(self.BOX.lower[0]) < 0.0
+        assert lam(self.BOX.upper[0]) < 0.0
+        assert lam(0.09) > 0.0
+        assert lam(4.6) > 0.0
+
+    def test_sampled_check_agrees(self, bench_cert, bench_model):
+        inside = check_dissipation(bench_cert, bench_model, self.BOX, 20_000,
+                                   np.random.default_rng(0))
+        assert inside.n_violations == 0  # worst margin -4.8e-8 measured
+        wide = check_dissipation(bench_cert, bench_model,
+                                 Box(np.zeros(2), np.full(2, 5.0)), 20_000,
+                                 np.random.default_rng(0))
+        assert wide.n_violations >= 1  # 28 measured

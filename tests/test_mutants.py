@@ -12,8 +12,7 @@ import types
 import numpy as np
 import pytest
 
-from etmhe import (EtmState, harness, mhe, run_closed_loop, run_closed_loop_batch,
-                   trigger)
+from etmhe import EtmState, harness, mhe, run_closed_loop, trigger
 
 import test_acceptance
 import test_harness
@@ -24,12 +23,8 @@ SEEDS = (0, 1)
 
 
 def seed_runs(cfg):
-    """(event-triggered, always-solve) trace pairs of SEEDS, in the shape of
-    test_acceptance's seed_runs fixture."""
-    et = run_closed_loop_batch([dataclasses.replace(cfg, seed=s) for s in SEEDS])
-    std = run_closed_loop_batch([dataclasses.replace(cfg, seed=s, alpha=0.0)
-                                 for s in SEEDS])
-    return dict(zip(SEEDS, zip(et, std))), 0.0
+    """The acceptance trace pairs of SEEDS."""
+    return test_acceptance.acceptance_runs(cfg, SEEDS)
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +117,13 @@ def test_d_without_discount(bench_model, bench_cert, monkeypatch):
     test_trigger."""
     check = test_trigger.TestComputeD().test_matches_explicit_sum
     check(bench_model, bench_cert, 40)
-    real = trigger.cost_residuals
+    real = test_trigger.compute_d
 
-    def undiscounted(window, cert, alpha):
+    def undiscounted(solution, window, cert):
         flat = types.SimpleNamespace(P2=cert.P2, Q=cert.Q, R=cert.R, eta=1.0)
-        return real(window, flat, alpha)
+        return real(solution, window, flat)
 
-    monkeypatch.setattr(trigger, "cost_residuals", undiscounted)
+    monkeypatch.setattr(test_trigger, "compute_d", undiscounted)
     with pytest.raises(AssertionError):
         check(bench_model, bench_cert, 40)
 
